@@ -19,14 +19,10 @@ from kprime.semantics import sat_bruteforce
 
 WORKLOADS = ("genpi", "testpi", "sat")
 
-# Inputs left out on purpose; each is a later benchmark change once the
-# program handles it.
-EXCLUDED = (
-    ("genpi", "thm21 n=3 genpi", "does not finish (65536 candidates, all pairs compared)"),
-    ("sat", "conjunction of 600 or more literals", "RecursionError in the sat core at the seed"),
-    ("sat", "[] nested 500 deep", "RecursionError in the parser at the seed"),
-    ("sat", "QBF encodings with 4 or more variables", "1-6 s per instance"),
-)
+# The seed picks one of this many input variants, seed % VARIANTS, and
+# digests.json records the output of every job of every variant. Inputs
+# left out on purpose are listed in the workloads' whys in BENCHMARK.json.
+VARIANTS = 32
 
 EX15 = "a & (((<>(b & c)) & (<>b)) | ((<>b) & (<>(c | d)) & ([]e) & ([]f)))"
 EX15_PIS = ("(a | a)\n"
@@ -81,8 +77,9 @@ def _verdict_job(name, argv, ok, yes="yes", no="no"):
 
 
 def build(workload, seed):
-    """The job list of one workload at one seed."""
-    rng = random.Random("%s/%d" % (workload, seed))
+    """The job list of one workload at one seed, built from the seed's
+    input variant."""
+    rng = random.Random("%s/%d" % (workload, seed % VARIANTS))
     jobs = [_job("examples %d" % i, argv, code, out)
             for i, (argv, code, out) in enumerate(EXAMPLES[workload])]
     jobs += {"genpi": _genpi, "testpi": _testpi, "sat": _sat}[workload](rng)

@@ -1,17 +1,16 @@
-"""Record the stdout digest of every job at a range of seeds.
+"""Record the stdout digest of every job of every input variant.
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/record_digests.py --first 0 --last 19
+    python3 perfbench/record_digests.py
 
-Each distinct job of every workload at those seeds runs once, cold, as
-in a benchmark pass. The outputs must pass the correctness gate, which
-also holds them to the digests already recorded; only then are the new
-digests merged into digests.json. The benchmark later requires every job
-with a recorded digest to print byte-identical output.
+Each distinct job of every workload in all jobs.VARIANTS input variants
+runs once, cold, as in a benchmark pass. The outputs must pass the
+correctness gate, which also holds them to the digests already recorded;
+only then is digests.json rewritten with the digest of every job. The
+benchmark later requires every job to print byte-identical output.
 """
 
-import argparse
 import json
 import sys
 
@@ -20,32 +19,39 @@ import run
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--first", type=int, default=0)
-    ap.add_argument("--last", type=int, default=19)
-    args = ap.parse_args()
-    cli = run.load_program()
+    forker = run.job_forker(run.load_program())
+    try:
+        record(forker)
+    finally:
+        forker.close()
+
+
+def record(forker):
     import jobs as workloads
     import oracle
 
-    recorded = oracle.load_digests()
+    known = oracle.load_digests()
+    recorded = {}
     for workload in workloads.WORKLOADS:
         unique = {}
-        for seed in range(args.first, args.last + 1):
-            built = isolate.run_forked(lambda: workloads.build(workload, seed), 120)
+        for variant in range(workloads.VARIANTS):
+            built = isolate.run_forked(lambda: workloads.build(workload, variant), 120)
             if built.status != "ok":
-                sys.exit("building the %s jobs at seed %d failed" % (workload, seed))
+                sys.exit("building the %s jobs of variant %d failed" % (workload, variant))
             for job in built.value:
                 unique.setdefault(oracle.argv_key(job["argv"]), job)
-        bench = run.Bench(cli, list(unique.values()))
+        bench = run.Bench(forker, list(unique.values()))
         bench.run_pass()
-        bench.gate()
-        if bench.failed or bench.problems:
+        if bench.failed:
+            sys.exit("%s: %d failed jobs; nothing recorded" % (workload, bench.failed))
+        found = {key: oracle.digest(stdout)
+                 for key, (_, stdout) in zip(unique, bench.reference)}
+        bench.gate(dict(found, **known))
+        if bench.problems:
             for problem in bench.problems:
                 print("INCORRECT %s" % problem, file=sys.stderr)
-            sys.exit("%s: %d failed jobs; nothing recorded" % (workload, bench.failed))
-        for key, (_, stdout) in zip(unique, bench.reference):
-            recorded[key] = oracle.digest(stdout)
+            sys.exit("%s: incorrect outputs; nothing recorded" % workload)
+        recorded.update(found)
         print("%s: %d distinct jobs" % (workload, len(unique)), file=sys.stderr)
     with open(oracle.DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(recorded, fh, indent=0, sort_keys=True)

@@ -7,14 +7,18 @@ Usage, from the root of a checkout:
 
 Each job is one `kpi` argv (see jobs.py) run in process through
 kprime.cli.main with stdout captured. Every job runs in its own forked
-child of a parent that has only imported kprime, one child at a time, so
-each starts as cold as a fresh `kpi` process. A job that runs past
-JOB_LIMIT_S is killed and counted as failed.
+child, one child at a time, so each starts as cold as a fresh `kpi`
+process. The children are forked by a child that the parent forks right
+after importing kprime, before it builds jobs or keeps results (see
+isolate.Forker), so a job's peak RSS is that of a process that has
+imported kprime and the benchmark's own modules, plus the job. A job
+that runs past JOB_LIMIT_S is killed and counted as failed.
 
 A run makes one reference pass, whose outputs go through the correctness
 gate in oracle.py outside the timed region, then repeats timed passes
 over the same jobs for --seconds. Later passes must print exactly what
-the reference pass printed.
+the reference pass printed, and the reference pass must print exactly
+what the digests in digests.json record for every job.
 
 The speed of a shared machine drifts by a third over tens of seconds, and
 the program's times drift with it. Between passes the parent therefore
@@ -60,8 +64,6 @@ JOB_LIMIT_S = 30.0
 SETUP_RUNS = 21
 CALIB_LOOPS = 300_000
 REFERENCE_LOOP_S = 0.025
-# a run stops starting passes after this many seconds, whatever --seconds says
-RUN_CAP_S = 140.0
 SETUP_CODE = ("import sys\n"
               "import kprime.cli\n"
               "sys.exit(kprime.cli.main(['sat', '-e', 'a']))\n")
@@ -110,47 +112,52 @@ def measure_setup():
     return raw, raw * REFERENCE_LOOP_S / statistics.fmean((before, loop_time()))
 
 
+def job_forker(cli):
+    """The Forker that runs jobs: forker.run(argv, traced) runs one job."""
+    return isolate.Forker(lambda argv, traced: _run_job(cli, argv, traced), JOB_LIMIT_S)
+
+
+def _run_job(cli, argv, traced):
+    tracer = None
+    if traced:
+        tracer = layertrace.Tracer()
+        layertrace.install(tracer)
+    out, err = io.StringIO(), io.StringIO()
+    raised = None
+    code = None
+    with redirect_stdout(out), redirect_stderr(err):
+        t0 = time.perf_counter()
+        try:
+            if traced:
+                code = tracer.call("cli", cli.main, argv)
+            else:
+                code = cli.main(argv)
+        except Exception as exc:
+            raised = repr(exc)
+        spent = time.perf_counter() - t0
+    row = {"s": spent, "code": code, "out": out.getvalue(), "err": err.getvalue(),
+           "raised": raised}
+    if traced:
+        row["self_ns"] = tracer.self_ns
+        row["counters"] = tracer.counters()
+    return row
+
+
 class Bench:
-    def __init__(self, cli, jobs):
-        self.cli = cli
+    def __init__(self, forker, jobs):
+        self.forker = forker
         self.jobs = jobs
         self.attempted = 0
         self.failed = 0
         self.problems = []
         self.reference = None
 
-    def _job_child(self, argv, traced):
-        tracer = None
-        if traced:
-            tracer = layertrace.Tracer()
-            layertrace.install(tracer)
-        out, err = io.StringIO(), io.StringIO()
-        raised = None
-        code = None
-        with redirect_stdout(out), redirect_stderr(err):
-            t0 = time.perf_counter()
-            try:
-                if traced:
-                    code = tracer.call("cli", self.cli.main, argv)
-                else:
-                    code = self.cli.main(argv)
-            except Exception as exc:
-                raised = repr(exc)
-            spent = time.perf_counter() - t0
-        row = {"s": spent, "code": code, "out": out.getvalue(), "err": err.getvalue(),
-               "raised": raised}
-        if traced:
-            row["self_ns"] = tracer.self_ns
-            row["counters"] = tracer.counters()
-        return row
-
     def run_pass(self, traced=False):
         """Run every job once; returns one row per job."""
         rows = []
         for job in self.jobs:
             t0 = time.perf_counter()
-            got = isolate.run_forked(lambda: self._job_child(job["argv"], traced),
-                                     JOB_LIMIT_S)
+            got = self.forker.run(job["argv"], traced)
             self.attempted += 1
             row = got.value if got.status == "ok" else None
             if row is None or row["raised"] is not None or row["code"] != job["code"]:
@@ -174,19 +181,17 @@ class Bench:
             row.pop("err", None)
         return rows
 
-    def gate(self):
+    def gate(self, digests):
         """Run the correctness gate on the reference pass, in a child."""
         import oracle
-        digests = oracle.load_digests()
         got = isolate.run_forked(
             lambda: oracle.check(self.jobs, self.reference, digests), 120)
         if got.status != "ok":
             self.problems.append("correctness gate did not complete: %s" % got.status)
             return
-        problems, matched = got.value
-        self.problems += problems
-        print("perfbench: %d jobs checked, %d against recorded digests"
-              % (len(self.jobs), matched), file=sys.stderr)
+        self.problems += got.value
+        print("perfbench: %d jobs checked, each against its oracle and its recorded digest"
+              % len(self.jobs), file=sys.stderr)
 
 
 def scaled(passes):
@@ -266,19 +271,26 @@ def main():
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
-    cli = load_program()
+    forker = job_forker(load_program())
+    try:
+        measure(ap, args, forker)
+    finally:
+        forker.close()
+
+
+def measure(ap, args, forker):
     import jobs as workloads
+    import oracle
     if args.workload not in workloads.WORKLOADS:
         ap.error("unknown workload %r; choose from %s"
                  % (args.workload, ", ".join(workloads.WORKLOADS)))
-    started = time.monotonic()
     setup = None if args.trace else measure_setup()
     built = isolate.run_forked(lambda: workloads.build(args.workload, args.seed), 120)
     if built.status != "ok":
         sys.exit("perfbench: building the %s jobs failed: %s" % (args.workload, built.status))
-    bench = Bench(cli, built.value)
+    bench = Bench(forker, built.value)
     bench.run_pass()
-    bench.gate()
+    bench.gate(oracle.load_digests())
 
     # (scale, rows) per timed pass; plain and traced passes alternate
     # under --trace 1
@@ -291,9 +303,7 @@ def main():
             rows = bench.run_pass(traced=is_traced)
             loops.append(loop_time())
             passes.append((REFERENCE_LOOP_S / statistics.fmean(loops[-2:]), rows))
-        now = time.monotonic()
-        if (len(traced) >= 2 or not args.trace) and (
-                now - t0 >= args.seconds or now - started >= RUN_CAP_S):
+        if (len(traced) >= 2 or not args.trace) and time.monotonic() - t0 >= args.seconds:
             break
 
     if args.trace:
