@@ -19,7 +19,7 @@ from .dnf import cnf4, dnf4
 from .families import FamilySpec, generate, parse_qbf_file, qbf_encode
 from .formulas import And, Box, Dia, Formula, Neg, Or, fold_or, nnf, unparse
 from .generate import gen_implicants, gen_pi
-from .grammar import DefId, SyntacticKind, is_member
+from .grammar import DefId, SyntacticKind, _dedup, _flatten, is_member
 from .parser import parse
 from .recognize import test_implicant_report, test_pi_report
 from .semantics import holds, parse_model
@@ -28,18 +28,7 @@ from .semantics import holds, parse_model
 def _collapse(f: Formula) -> Formula:
     """Drop duplicate disjuncts, recursively; display helper only."""
     if isinstance(f, Or):
-        parts: list[Formula] = []
-        stack = [f.right, f.left]
-        while stack:
-            g = stack.pop()
-            if isinstance(g, Or):
-                stack.append(g.right)
-                stack.append(g.left)
-                continue
-            g = _collapse(g)
-            if g not in parts:
-                parts.append(g)
-        return fold_or(parts)
+        return fold_or(_dedup(_collapse(g) for g in _flatten(f, Or)))
     if isinstance(f, And):
         return And(_collapse(f.left), _collapse(f.right))
     if isinstance(f, Neg):
@@ -73,12 +62,12 @@ def _one_formula(args) -> Formula:
 
 
 def _emit_lines(args, formulas) -> None:
-    texts = [_show(f, args) for f in formulas]
+    """Print one formula per line as it arrives, or all of them as one JSON list."""
     if args.json:
-        print(json.dumps(texts))
+        print(json.dumps([_show(f, args) for f in formulas]))
     else:
-        for t in texts:
-            print(t)
+        for f in formulas:
+            print(_show(f, args))
 
 
 def _cmd_sat(args) -> int:
@@ -246,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("genpi", _cmd_genpi, "print the prime implicates, one per line")
     _add_formula_inputs(sub)
     sub.add_argument("--iter", action="store_true",
-                     help="stream candidates instead of materializing")
+                     help="print each implicate as soon as it is found")
     sub.add_argument("--simplify", action="store_true",
                      help="collapse duplicate disjuncts in the output")
 

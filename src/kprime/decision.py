@@ -89,6 +89,16 @@ _SAT_CACHE_LIMIT = 1 << 18
 _TRIED_LIMIT = 1 << 16
 
 
+def _modal_sat(branch) -> bool:
+    """The modal step for one propositionally consistent surface branch:
+    it is satisfiable iff every diamond body & all box bodies is."""
+    dias = [p.child for p in branch if isinstance(p, Dia)]
+    if not dias:
+        return True
+    chi = fold_and([p.child for p in branch if isinstance(p, Box)])
+    return all(_sat_nnf(p if chi is None else And(p, chi)) for p in dias)
+
+
 def _sat_nnf(g: Formula) -> bool:
     hit = _SAT_CACHE.get(g)
     if hit is not None:
@@ -101,13 +111,7 @@ def _sat_nnf(g: Formula) -> bool:
             continue
         if len(tried) < _TRIED_LIMIT:
             tried.add(key)
-        dias = [p.child for p in branch if isinstance(p, Dia)]
-        if not dias:
-            result = True
-            break
-        boxes = [p.child for p in branch if isinstance(p, Box)]
-        chi = fold_and(boxes)
-        if all(_sat_nnf(p if chi is None else And(p, chi)) for p in dias):
+        if _modal_sat(branch):
             result = True
             break
     if len(_SAT_CACHE) >= _SAT_CACHE_LIMIT:
@@ -141,9 +145,13 @@ def clause_entails_fast(l: ClauseView4, r: ClauseView4) -> bool:
     the propositional parts entail, the diamond disjunctions entail, and
     every box body of l entails the diamonds of r plus one box body of r.
     """
-    rf = r.assemble()
-    if is_tautology(rf):
+    if is_tautology(r.assemble()):
         raise ValueError("fast clause entailment needs a non-tautological right side")
+    return _clause_entails(l, r)
+
+
+def _clause_entails(l: ClauseView4, r: ClauseView4) -> bool:
+    """clause_entails_fast for a right side already known not tautologous."""
     if not entails(fold_or(l.gammas, bottom()), fold_or(r.gammas, bottom())):
         return False
     if not entails(fold_or(l.diamonds, bottom()), fold_or(r.diamonds, bottom())):

@@ -5,18 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decision import _sat_nnf, surface_branches
-from .formulas import And, Box, Dia, Formula, Neg, dual_negate, fold_and, nnf
+from .decision import _modal_sat, sat, surface_branches
+from .formulas import And, Box, Dia, Formula, dual_negate, nnf
 from .grammar import TermView4
-
-
-def _prop_consistent(lits):
-    sign: dict[str, bool] = {}
-    for p in lits:
-        name, v = (p.child.name, False) if isinstance(p, Neg) else (p.name, True)
-        if sign.setdefault(name, v) != v:
-            return False
-    return True
 
 
 def _split(parts):
@@ -24,14 +15,6 @@ def _split(parts):
     diamonds = tuple(p.child for p in parts if isinstance(p, Dia))
     boxes = tuple(p.child for p in parts if isinstance(p, Box))
     return lits, diamonds, boxes
-
-
-def _modally_consistent(diamonds, boxes):
-    # propositional consistency is already guaranteed by the branch stream
-    if not diamonds:
-        return True
-    chi = fold_and(boxes)
-    return all(_sat_nnf(p if chi is None else And(p, chi)) for p in diamonds)
 
 
 def dnf4(f: Formula):
@@ -45,10 +28,8 @@ def dnf4(f: Formula):
         if parts in seen:
             continue
         seen.add(parts)
-        lits, diamonds, boxes = _split(parts)
-        if not _modally_consistent(diamonds, boxes):
-            continue
-        yield TermView4(lits, diamonds, boxes, parts)
+        if _modal_sat(parts):
+            yield TermView4(*_split(parts), parts)
 
 
 def cnf4(f: Formula) -> tuple[Formula, ...]:
@@ -72,7 +53,7 @@ def delta_set(t: TermView4) -> DeltaSet:
     """Entries implied by the satisfiable term t, in canonical order:
     L_T first, then the box over beta_T when boxes exist, then one
     diamond entry per member of D_T."""
-    if not (_prop_consistent(t.lits) and _modally_consistent(t.diamonds, t.boxes)):
+    if not sat(t.assemble()):
         raise ValueError("delta_set needs a satisfiable term: %s" % t.assemble())
     beta = t.beta()
     entries = list(t.lits)

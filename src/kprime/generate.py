@@ -8,15 +8,14 @@ it, so each equivalence class is represented by its lowest index.
 """
 
 from dataclasses import dataclass
-from math import prod
-from typing import Callable, Iterator
+from functools import cache
+from itertools import product
+from typing import Iterator
 
-from .decision import clause_entails_fast, is_tautology, sat
+from .decision import _clause_entails, is_tautology, sat
 from .dnf import delta_set, dnf4
 from .formulas import And, Dia, Formula, Neg, Or, Var, dual_negate, fold_or, metrics
 from .grammar import SyntacticKind, view4
-
-MATERIALIZE_CAP = 10**6
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,86 +41,41 @@ def _limit_case(f: Formula) -> tuple[Formula, ...] | None:
     return None
 
 
-class _Comparer:
-    """Entailment between candidate clauses, cached when memory allows."""
-
-    def __init__(self, get: Callable[[int], Formula], cached: bool):
-        self._get = get
-        self._cached = cached
-        self._taut: dict[int, bool] = {}
-        self._view: dict[int, object] = {}
-        self._ent: dict[tuple[int, int], bool] = {}
-
-    def _is_taut(self, i: int) -> bool:
-        r = self._taut.get(i)
-        if r is None:
-            r = is_tautology(self._get(i))
-            if self._cached:
-                self._taut[i] = r
-        return r
-
-    def _view4(self, i: int):
-        v = self._view.get(i)
-        if v is None:
-            v = view4(self._get(i), SyntacticKind.CLAUSE)
-            if self._cached:
-                self._view[i] = v
-        return v
-
-    def entails(self, i: int, j: int) -> bool:
-        key = (i, j)
-        r = self._ent.get(key)
-        if r is None:
-            if self._is_taut(j):
-                r = True
-            elif self._is_taut(i):
-                r = False
-            else:
-                r = clause_entails_fast(self._view4(i), self._view4(j))
-            if self._cached:
-                self._ent[key] = r
-        return r
-
-
-def _stream(f: Formula, cap: int) -> Iterator[Formula]:
+def _stream(f: Formula) -> Iterator[Formula]:
     limit = _limit_case(f)
     if limit is not None:
         yield from limit
         return
     deltas = [delta_set(t).entries for t in dnf4(f)]
-    counts = [len(d) for d in deltas]
-    total = prod(counts)
-    weights = [0] * len(counts)
-    w = 1
-    for t in range(len(counts) - 1, -1, -1):
-        weights[t] = w
-        w *= counts[t]
+    cands = [fold_or(picks) for picks in product(*deltas)]
+    taut = [is_tautology(c) for c in cands]
 
-    def build(i: int) -> Formula:
-        picks = [deltas[t][(i // weights[t]) % counts[t]] for t in range(len(counts))]
-        return fold_or(picks)
+    @cache
+    def view(i: int):
+        return view4(cands[i], SyntacticKind.CLAUSE)
 
-    if total <= cap:
-        cands = [build(i) for i in range(total)]
-        get: Callable[[int], Formula] = cands.__getitem__
-        cmp = _Comparer(get, cached=True)
-    else:
-        get = build
-        cmp = _Comparer(get, cached=False)
+    @cache
+    def entails(j: int, i: int) -> bool:
+        if taut[i]:
+            return True
+        if taut[j]:
+            return False
+        return _clause_entails(view(j), view(i))
 
+    total = len(cands)
     for i in range(total):
         keep = True
         for j in range(total):
             if j == i:
                 continue
-            if cmp.entails(j, i) and (j < i or not cmp.entails(i, j)):
+            if entails(j, i) and (j < i or not entails(i, j)):
                 keep = False
                 break
         if keep:
-            yield get(i)
+            yield cands[i]
 
 
-def gen_pi(f: Formula, mode: str = "eager", cap: int = MATERIALIZE_CAP):
+def gen_pi(f: Formula, mode: str = "eager"):
     """All prime implicates of f, one representative per equivalence class.
 
     Eager mode returns a PiSet; iterative mode returns a generator yielding
@@ -129,7 +83,7 @@ def gen_pi(f: Formula, mode: str = "eager", cap: int = MATERIALIZE_CAP):
     """
     if mode not in ("eager", "iterative"):
         raise ValueError("mode must be 'eager' or 'iterative': %r" % mode)
-    stream = _stream(f, cap)
+    stream = _stream(f)
     if mode == "iterative":
         return stream
     return PiSet(tuple(stream))

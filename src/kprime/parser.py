@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 
-from .formulas import And, Box, Dia, Formula, Neg, Or, RESERVED, Var, bottom, top
+from .formulas import (Box, Dia, Formula, Neg, Or, RESERVED, Var, bottom,
+                       fold_and, fold_or, top)
 
 
 class ParseError(ValueError):
@@ -102,20 +103,14 @@ class _Parser:
         while self.peek()[:2] == ("op", "|"):
             self.advance()
             parts.append(self.conjunction())
-        f = parts[-1]
-        for g in reversed(parts[:-1]):
-            f = Or(g, f)
-        return f
+        return fold_or(parts)
 
     def conjunction(self) -> Formula:
         parts = [self.unary()]
         while self.peek()[:2] == ("op", "&"):
             self.advance()
             parts.append(self.unary())
-        f = parts[-1]
-        for g in reversed(parts[:-1]):
-            f = And(g, f)
-        return f
+        return fold_and(parts)
 
     def unary(self) -> Formula:
         kind, value, _ = self.peek()

@@ -5,13 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from kprime import parse
+from kprime import cli, parse
 from kprime.decision import entails
 from kprime.formulas import unparse
 
 from helpers import random_formula, run_cli
 
 PHI = "a & (([](b & c)) | ([](e | f))) & (<>(a & b))"
+EX15 = "a & (((<>(b & c)) & (<>b)) | ((<>b) & (<>(c | d)) & ([]e) & ([]f)))"
 
 
 def test_entail_verdicts():
@@ -119,6 +120,22 @@ def test_iter_matches_eager():
     for _ in range(10):
         text = unparse(random_formula(rng, "abc", 1, 6))
         assert run_cli("genpi", "-e", text) == run_cli("genpi", "--iter", "-e", text)
+
+
+def test_iter_prints_each_implicate_when_found(monkeypatch):
+    real = cli.gen_pi
+    printed = []
+
+    def recording(f, mode):
+        for clause in real(f, mode=mode):
+            yield clause
+            printed.append(sys.stdout.getvalue())
+
+    monkeypatch.setattr(cli, "gen_pi", recording)
+    code, out, _ = run_cli("genpi", "--iter", "-e", EX15)
+    lines = out.splitlines(keepends=True)
+    assert code == 0 and len(lines) == 4
+    assert printed == ["".join(lines[:k + 1]) for k in range(len(lines))]
 
 
 def test_json_round_trip():

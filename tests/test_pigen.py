@@ -1,10 +1,14 @@
 import random
+from math import prod
 
 import pytest
 
 from kprime import And, Box, Dia, Neg, Or, Var, bottom, metrics, parse, top
+from kprime import decision
+from kprime import generate as generate_module
 from kprime.decision import entails, equivalent
 from kprime.dnf import delta_set, dnf4
+from kprime.families import FamilySpec, generate
 from kprime.formulas import fold_and, fold_or
 from kprime.generate import PiSet, gen_implicants, gen_pi
 from kprime.grammar import DefId, SyntacticKind, is_member
@@ -53,10 +57,21 @@ def test_iterative_matches_eager():
         assert tuple(gen_pi(g, mode="iterative")) == gen_pi(g).clauses
 
 
-def test_materialization_cap_does_not_change_output():
-    g = parse(EX15)
-    assert gen_pi(g, cap=2).clauses == gen_pi(g).clauses
-    assert tuple(gen_pi(g, mode="iterative", cap=0)) == gen_pi(g).clauses
+def test_each_candidate_checked_once_for_tautology(monkeypatch):
+    phi, _ = generate(FamilySpec("thm21", n=2))
+    candidates = prod(len(delta_set(t).entries) for t in dnf4(phi))
+    checked = []
+    real = decision.is_tautology
+
+    def counting(g):
+        checked.append(g)
+        return real(g)
+
+    monkeypatch.setattr(decision, "is_tautology", counting)
+    monkeypatch.setattr(generate_module, "is_tautology", counting)
+    gen_pi(phi)
+    # the limit-case check on phi, then one check per candidate
+    assert len(checked) <= candidates + 1
 
 
 def test_members_are_d4_implicates():
