@@ -55,10 +55,16 @@ def delta_set(t: TermView4) -> DeltaSet:
     diamond entry per member of D_T."""
     if not sat(t.assemble()):
         raise ValueError("delta_set needs a satisfiable term: %s" % t.assemble())
+    return DeltaSet(_delta_entries(t))
+
+
+def _delta_entries(t: TermView4) -> tuple[Formula, ...]:
+    # the entries of delta_set, for a term already known satisfiable, as
+    # every term of dnf4 is
     beta = t.beta()
     entries = list(t.lits)
     if t.boxes:
         entries.append(Box(beta))
     for zeta in t.diamonds:
         entries.append(Dia(zeta if beta is None else And(zeta, beta)))
-    return DeltaSet(tuple(dict.fromkeys(entries)))
+    return tuple(dict.fromkeys(entries))

@@ -19,23 +19,20 @@ cover exists.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .dnf import delta_set, dnf4
-from .formulas import (RESERVED, And, Box, Dia, Formula, Neg, Or, Var,
+from .dnf import _delta_entries, dnf4
+from .formulas import (And, Box, Dia, Formula, Neg, Or, Var,
                        fold_and, fold_or)
+from .parser import is_variable_name
 
 N_CAP = 4
 K_CAP = 6
 THM19_N_CAP = 2
 # bound on how many distinguished clauses generate() will materialize
 DISTINGUISHED_CAP = 100_000
-
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 @dataclass(frozen=True, slots=True)
 class FamilySpec:
@@ -115,7 +112,7 @@ def _thm21(n: int) -> tuple[Formula, list[Formula]]:
     conj = fold_and([Or(And(Dia(_avar(i, 1)), Box(_bvar(i, 1))),
                         And(Dia(_avar(i, 2)), Box(_bvar(i, 2))))
                      for i in range(1, n + 1)])
-    dia_lists = [[e for e in delta_set(t).entries if isinstance(e, Dia)]
+    dia_lists = [[e for e in _delta_entries(t) if isinstance(e, Dia)]
                  for t in dnf4(conj)]
     count = prod(len(ds) for ds in dia_lists)
     if count > DISTINGUISHED_CAP:
@@ -185,7 +182,7 @@ def _random_formula(rng, names, depth, length) -> Formula:
 def _lit_parts(lit: str) -> tuple[bool, str]:
     neg = lit.startswith("-")
     name = lit[1:] if neg else lit
-    if not _NAME.match(name) or name == RESERVED:
+    if not is_variable_name(name):
         raise ValueError("bad literal: %s" % lit)
     return neg, name
 
@@ -207,7 +204,7 @@ class QbfInstance:
         for quant, name in self.prefix:
             if quant not in ("forall", "exists"):
                 raise ValueError("bad quantifier: %s" % quant)
-            if not _NAME.match(name) or name == RESERVED:
+            if not is_variable_name(name):
                 raise ValueError("bad variable name: %s" % name)
             if name in seen:
                 raise ValueError("duplicate prefix variable: %s" % name)

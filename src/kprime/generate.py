@@ -13,7 +13,7 @@ from itertools import product
 from typing import Iterator
 
 from .decision import _clause_entails, is_tautology, sat
-from .dnf import delta_set, dnf4
+from .dnf import _delta_entries, dnf4
 from .formulas import And, Dia, Formula, Neg, Or, Var, dual_negate, fold_or, metrics
 from .grammar import SyntacticKind, view4
 
@@ -46,7 +46,7 @@ def _stream(f: Formula) -> Iterator[Formula]:
     if limit is not None:
         yield from limit
         return
-    deltas = [delta_set(t).entries for t in dnf4(f)]
+    deltas = [_delta_entries(t) for t in dnf4(f)]
     cands = [fold_or(picks) for picks in product(*deltas)]
     taut = [is_tautology(c) for c in cands]
 

@@ -31,11 +31,18 @@ class ReservedNameError(ParseError):
     """The reserved variable `_c` appeared in the input."""
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<ident>[a-z_][a-zA-Z0-9_]*)|(?P<op>\[\]|<>|->|[!&|()]))"
-)
+_IDENT = r"[a-z_][a-zA-Z0-9_]*"
+
+_TOKEN = re.compile(r"\s*(?:(?P<ident>%s)|(?P<op>\[\]|<>|->|[!&|()]))" % _IDENT)
 
 _UNARY = {"!": Neg, "[]": Box, "<>": Dia}
+
+
+def is_variable_name(name: str) -> bool:
+    """Whether name parses back as a variable: an identifier that is
+    neither a constant nor the reserved name."""
+    return (re.fullmatch(_IDENT, name) is not None
+            and name not in ("true", "false", RESERVED))
 
 
 def _tokenize(text: str):

@@ -2,13 +2,15 @@
 
 The main test splits a clause into its propositional, box, and diamond
 parts and checks each against a strengthened remainder of the input
-formula.  The diamond check searches subsets of the modal bodies found at
-the top propositional level of the formula; a qualifying subset witnesses
-a strictly stronger implicate.
+formula.  The diamond check looks for a subset of the modal bodies found
+at the top propositional level of the formula; a qualifying subset
+witnesses a strictly stronger implicate.  It streams the terms of the
+formula once into a reach table of bitmasks, decides by a pruned
+include/exclude search whether a qualifying subset exists, and recovers
+the canonical (smallest, then leftmost) subset only when one does.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .decision import entails, is_tautology, sat
 from .dnf import dnf4
@@ -138,11 +140,18 @@ def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
     """Prime test for a diamond clause, with the refuting subset if any.
 
     A subset S of the witness universe refutes primeness when psi does not
-    entail the disjunction of S and every term of dnf4(phi) offers a
-    diamond conjunct eta with ({eta} union boxes) meeting S whose
-    strengthening dia(eta and beta) entails dia(psi).  Subsets are tried by
-    size, then lexicographically by position; terms are re-streamed per
-    subset.
+    entail the disjunction of S and every term of dnf4(phi) reaches S: it
+    offers a diamond conjunct eta with ({eta} union boxes) meeting S whose
+    strengthening dia(eta and beta) entails dia(psi).
+
+    The terms are streamed once into a reach table, one bitmask over the
+    universe per term, so reaching is bit arithmetic.  Not covering psi is
+    closed under subsets and reaching under supersets, so an include/exclude
+    search that drops every branch whose largest extension does not reach
+    decides whether a refuting S exists.  Only then is the canonical
+    witness recovered, the first refuting subset by size, then
+    lexicographically by position, by the same search bounded to each
+    size in turn.
     """
     if not entails(phi, Dia(psi)):
         raise ValueError("not an implicate: <>%s" % psi)
@@ -150,30 +159,82 @@ def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
         return TestOutcome(not sat(psi), 1)
     uni = witness_universe(phi)
     xs = uni.x_set
-    for size in range(len(xs) + 1):
-        for combo in combinations(range(len(xs)), size):
-            chosen = tuple(xs[k] for k in combo)
-            if entails(psi, fold_or(list(chosen), bottom())):
-                continue
-            if _all_terms_reach(phi, frozenset(chosen), psi):
-                return TestOutcome(False, 3, WitnessUniverse(xs, chosen))
-    return TestOutcome(True, 3, uni)
+    needs = _reach_table(phi, psi, xs)
+    if needs is None:
+        return TestOutcome(True, 3, uni)
+    covered: dict[int, bool] = {}
+
+    def members(mask: int) -> tuple[Formula, ...]:
+        return tuple(x for k, x in enumerate(xs) if mask >> k & 1)
+
+    def covers(mask: int) -> bool:
+        if mask not in covered:
+            covered[mask] = entails(psi, fold_or(list(members(mask)), bottom()))
+        return covered[mask]
+
+    def reaches(mask: int) -> bool:
+        return all(need & mask for need in needs)
+
+    n = len(xs)
+    if _first_refutation(n, reaches, covers) is None:
+        return TestOutcome(True, 3, uni)
+    for size in range(1, n + 1):
+        mask = _first_refutation(n, reaches, covers, size)
+        if mask is not None:
+            return TestOutcome(False, 3, WitnessUniverse(xs, members(mask)))
+    raise AssertionError("a refuting subset exists but none was found")
 
 
-def _all_terms_reach(phi: Formula, s_set: frozenset, psi: Formula) -> bool:
+def _reach_table(phi: Formula, psi: Formula, xs) -> list[int] | None:
+    # One mask per term of dnf4(phi): the universe positions whose presence
+    # in S lets the term reach S, namely its box bodies and its good
+    # diamond bodies.  Every modal body of a term is in the universe.  None
+    # when some term has no good diamond body and so never reaches.
+    index = {x: k for k, x in enumerate(xs)}
     target = Dia(psi)
+    good: dict[Formula, bool] = {}
+    needs = []
     for t in dnf4(phi):
         beta = t.beta()
-        boxes_hit = any(mu in s_set for mu in t.boxes)
+        mask = 0
         for eta in t.diamonds:
-            if not (boxes_hit or eta in s_set):
-                continue
             body = eta if beta is None else And(eta, beta)
-            if entails(Dia(body), target):
-                break
-        else:
-            return False
-    return True
+            if body not in good:
+                good[body] = entails(Dia(body), target)
+            if good[body]:
+                mask |= 1 << index[eta]
+        if not mask:
+            return None
+        for mu in t.boxes:
+            mask |= 1 << index[mu]
+        needs.append(mask)
+    return needs
+
+
+def _first_refutation(n: int, reaches, covers, size: int | None = None) -> int | None:
+    # Depth-first over positions 0..n-1, including before excluding, so
+    # the sets of one size come in lexicographic order of positions.  A
+    # branch is dropped when it covers psi (so does every superset), when
+    # even adding every undecided position does not reach, or when it
+    # cannot end with exactly `size` members.  The empty set reaches no
+    # term, so it is never returned.
+    full = (1 << n) - 1
+    stack = [(0, 0, 0)]
+    while stack:
+        mask, k, count = stack.pop()
+        if count == size or k == n:
+            if reaches(mask):
+                return mask
+            continue
+        if not reaches(mask | (full >> k << k)):
+            continue
+        if size is not None and count + n - k < size:
+            continue
+        stack.append((mask, k + 1, count))
+        wider = mask | 1 << k
+        if not covers(wider):
+            stack.append((wider, k + 1, count + 1))
+    return None
 
 
 def test_pi(l: Formula, phi: Formula) -> bool:

@@ -17,6 +17,7 @@ from kprime.families import (
 from kprime.formulas import And, Box, Dia, Neg, Or, Var, metrics, unparse
 from kprime.generate import gen_pi
 from kprime.grammar import DefId, SyntacticKind, is_member, view4
+from kprime.parser import parse
 from kprime import recognize as rec
 
 from helpers import all_qbf_instances, all_xc_instances, cover_exists, random_qbf3
@@ -181,6 +182,21 @@ def test_qbf_instance_validation():
         QbfInstance((("all", "p1"),), ())
     with pytest.raises(ValueError, match="bad"):
         QbfInstance((("forall", "1p"),), ())
+
+
+def test_qbf_names_follow_the_parser_rule():
+    # an accepted name must parse back as the same variable
+    with pytest.raises(ValueError, match="bad variable name"):
+        QbfInstance((("forall", "P1"),), ())
+    with pytest.raises(ValueError, match="bad variable name"):
+        QbfInstance((("exists", "true"),), ())
+    with pytest.raises(ValueError, match="bad variable name"):
+        QbfInstance((("exists", "false"),), ())
+    with pytest.raises(ValueError, match="bad literal"):
+        parse_qbf_file("e p1\n-true 0\n")
+    q = QbfInstance((("forall", "pA_1"), ("exists", "_p")), (("pA_1", "-_p"),))
+    f = qbf_encode(q)
+    assert parse(unparse(f)) == f
 
 
 def test_qbf_encode_exists_golden():

@@ -5,6 +5,7 @@ import pytest
 
 from kprime import And, Box, Dia, Neg, Or, Var, bottom, metrics, parse, top
 from kprime import decision
+from kprime import dnf as dnf_module
 from kprime import generate as generate_module
 from kprime.decision import entails, equivalent
 from kprime.dnf import delta_set, dnf4
@@ -72,6 +73,22 @@ def test_each_candidate_checked_once_for_tautology(monkeypatch):
     gen_pi(phi)
     # the limit-case check on phi, then one check per candidate
     assert len(checked) <= candidates + 1
+
+
+def test_delta_entries_not_reproved_satisfiable(monkeypatch):
+    # every dnf4 term is satisfiable already; building its entries for
+    # generation must not run the sat check of the public delta_set again
+    phi, _ = generate(FamilySpec("thm21", n=2))
+    calls = []
+    real = dnf_module.sat
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(dnf_module, "sat", counting)
+    assert len(gen_pi(phi)) == 81
+    assert calls == []
 
 
 def test_members_are_d4_implicates():

@@ -1,12 +1,12 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from kprime import And, Box, Dia, Neg, Or, Var, bottom, parse
 from kprime.decision import entails, equivalent, is_tautology, sat
 from kprime.dnf import delta_set, dnf4
-from kprime.formulas import dual_negate, fold_or
+from kprime.formulas import dual_negate, fold_and, fold_or
 from kprime.generate import gen_pi
 from kprime.grammar import GrammarError, SyntacticKind, view4
 from kprime import recognize as rec
@@ -251,3 +251,140 @@ def test_dia_pi_matches_definition():
         assert rec.test_dia_pi(psi, phi) == expected
         checked += 1
     assert checked >= 2
+
+
+def _dia_pi_exhaustive(psi, phi):
+    # the diamond subtest as first written: every subset of the witness
+    # universe by size, then by position, re-streaming dnf4(phi) per subset
+    if not entails(phi, Dia(psi)):
+        raise ValueError("not an implicate: <>%s" % psi)
+    if not sat(phi):
+        return rec.TestOutcome(not sat(psi), 1)
+    uni = witness_universe(phi)
+    xs = uni.x_set
+    for size in range(len(xs) + 1):
+        for combo in combinations(range(len(xs)), size):
+            chosen = tuple(xs[k] for k in combo)
+            if entails(psi, fold_or(list(chosen), bottom())):
+                continue
+            if _all_terms_reach(phi, frozenset(chosen), psi):
+                return rec.TestOutcome(False, 3, rec.WitnessUniverse(xs, chosen))
+    return rec.TestOutcome(True, 3, uni)
+
+
+def _all_terms_reach(phi, s_set, psi):
+    for t in dnf4(phi):
+        beta = t.beta()
+        boxes_hit = any(mu in s_set for mu in t.boxes)
+        for eta in t.diamonds:
+            if not (boxes_hit or eta in s_set):
+                continue
+            body = eta if beta is None else And(eta, beta)
+            if entails(Dia(body), Dia(psi)):
+                break
+        else:
+            return False
+    return True
+
+
+def _modal_mix(rng, leaves):
+    # an and/or tree over modal and propositional literals, so that the
+    # witness universe has several members
+    if leaves == 1:
+        kind = rng.choice(["dia", "dia", "box", "lit"])
+        if kind == "lit":
+            v = Var(rng.choice("abc"))
+            return Neg(v) if rng.random() < 0.5 else v
+        body = random_formula(rng, "abc", rng.randint(0, 1), rng.randint(1, 4))
+        return (Dia if kind == "dia" else Box)(body)
+    k = rng.randint(1, leaves - 1)
+    op = And if rng.random() < 0.6 else Or
+    return op(_modal_mix(rng, k), _modal_mix(rng, leaves - k))
+
+
+# the testpi runs of examples.sh, whose PHI and PHI_CUT are PHI33 and PHI31
+EXAMPLES_TESTPI = [
+    ("<>(a & b)", PHI33),
+    ("<>(a & b & c)", PHI31),
+    ("b", PHI33),
+    ("([]b) | ([](e | f))", PHI33),
+    ("a | <>c", PHI33),
+    (LAM5, PHI33),
+    ("[]<>a | <>(a & b & []!a)", "[](a & b)"),
+]
+
+
+def test_dia_pi_search_matches_exhaustive_enumeration(monkeypatch):
+    bodies = [Var("b%d" % i) for i in range(8)]
+    pairs = [
+        (And(a, b), parse(PHI33)),
+        (And(a, And(b, c)), parse(PHI31)),
+        # refuted only by the whole universe
+        (fold_or(bodies + [c]), fold_or([Dia(x) for x in bodies])),
+    ]
+    # the diamond subtests that the examples.sh recognition runs reach
+    real = rec.test_dia_pi_report
+
+    def recording(psi, phi):
+        pairs.append((psi, phi))
+        return real(psi, phi)
+
+    monkeypatch.setattr(rec, "test_dia_pi_report", recording)
+    for clause, phi in EXAMPLES_TESTPI:
+        rec.test_pi_report(parse(clause), parse(phi))
+    monkeypatch.undo()
+    assert len(pairs) >= 7
+    rng = random.Random(76)
+    drawn = 0
+    while drawn < 150:
+        phi = _modal_mix(rng, rng.randint(2, 7))
+        xs = witness_universe(phi).x_set
+        if not xs or not sat(phi):
+            continue
+        psi = fold_or(rng.sample(xs, rng.randint(1, len(xs))))
+        r = rng.random()
+        if r < 0.4:
+            psi = Or(psi, random_formula(rng, "abc", 1, rng.randint(1, 4)))
+        elif r < 0.6:
+            psi = random_formula(rng, "abc", 1, rng.randint(1, 4))
+        if entails(phi, Dia(psi)):
+            pairs.append((psi, phi))
+            drawn += 1
+    refuting = wide = 0
+    for psi, phi in pairs:
+        expected = _dia_pi_exhaustive(psi, phi)
+        assert rec.test_dia_pi_report(psi, phi) == expected, (psi, phi)
+        if expected.witness is not None and expected.witness.subset is not None:
+            refuting += 1
+            wide += len(expected.witness.subset) > 1
+    assert refuting >= 10
+    assert len(pairs) - refuting >= 10
+    assert wide >= 5
+
+
+def test_dia_pi_streams_terms_once_and_entails_linearly(monkeypatch):
+    # <>a0 against <>a0 & ... & <>a(n-1) is prime; deciding it must not
+    # visit the 2^n subsets of the witness universe
+    n = 20
+    phi = fold_and([Dia(Var("a%d" % i)) for i in range(n)])
+    streams = []
+    entailments = []
+    real_dnf4 = rec.dnf4
+    real_entails = rec.entails
+
+    def counting_dnf4(f):
+        streams.append(f)
+        assert len(streams) == 1, "dnf4 streamed more than once"
+        return real_dnf4(f)
+
+    def counting_entails(f, g):
+        entailments.append((f, g))
+        assert len(entailments) <= 2 * n, "entails called more than 2n times"
+        return real_entails(f, g)
+
+    monkeypatch.setattr(rec, "dnf4", counting_dnf4)
+    monkeypatch.setattr(rec, "entails", counting_entails)
+    out = rec.test_dia_pi_report(Var("a0"), phi)
+    assert (out.verdict, out.step) == (True, 3)
+    assert len(out.witness.x_set) == n
+    assert len(streams) == 1
