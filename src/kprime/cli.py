@@ -18,7 +18,7 @@ from .decision import entails, sat
 from .dnf import cnf4, dnf4
 from .families import FamilySpec, generate, parse_qbf_file, qbf_encode
 from .formulas import And, Box, Dia, Formula, Neg, Or, fold_or, nnf, unparse
-from .generate import gen_implicants, gen_pi
+from .generate import gen_implicants, gen_pi, iter_pi
 from .grammar import DefId, SyntacticKind, _dedup, _flatten, is_member
 from .parser import parse
 from .recognize import test_implicant_report, test_pi_report
@@ -112,8 +112,7 @@ def _cmd_cnf4(args) -> int:
 
 def _cmd_genpi(args) -> int:
     f = _one_formula(args)
-    mode = "iterative" if args.iter else "eager"
-    _emit_lines(args, gen_pi(f, mode=mode))
+    _emit_lines(args, iter_pi(f) if args.iter else gen_pi(f))
     return 0
 
 

@@ -7,14 +7,7 @@ from dataclasses import dataclass
 
 from .decision import _modal_sat, sat, surface_branches
 from .formulas import And, Box, Dia, Formula, dual_negate, nnf
-from .grammar import TermView4
-
-
-def _split(parts):
-    lits = tuple(p for p in parts if not isinstance(p, (Box, Dia)))
-    diamonds = tuple(p.child for p in parts if isinstance(p, Dia))
-    boxes = tuple(p.child for p in parts if isinstance(p, Box))
-    return lits, diamonds, boxes
+from .grammar import TermView4, _split4
 
 
 def dnf4(f: Formula):
@@ -29,7 +22,7 @@ def dnf4(f: Formula):
             continue
         seen.add(parts)
         if _modal_sat(parts):
-            yield TermView4(*_split(parts), parts)
+            yield TermView4(*_split4(parts), parts)
 
 
 def cnf4(f: Formula) -> tuple[Formula, ...]:

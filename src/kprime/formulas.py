@@ -134,25 +134,23 @@ class Metrics:
 def metrics(f: Formula) -> Metrics:
     """Length (variable occurrences + connectives + modal operators),
     modal depth, and the set of variable names."""
-    return Metrics(_length(f), _depth(f), frozenset(variables(f)))
-
-
-def _length(f: Formula) -> int:
-    if isinstance(f, Var):
-        return 1
-    if isinstance(f, (Neg, Box, Dia)):
-        return 1 + _length(f.child)
-    return 1 + _length(f.left) + _length(f.right)  # type: ignore[attr-defined]
-
-
-def _depth(f: Formula) -> int:
-    if isinstance(f, Var):
-        return 0
-    if isinstance(f, Neg):
-        return _depth(f.child)
-    if isinstance(f, (Box, Dia)):
-        return 1 + _depth(f.child)
-    return max(_depth(f.left), _depth(f.right))  # type: ignore[attr-defined]
+    length = depth = 0
+    names = set()
+    todo = [(f, 0)]
+    while todo:
+        g, d = todo.pop()
+        length += 1
+        if isinstance(g, Var):
+            names.add(g.name)
+            depth = max(depth, d)
+        elif isinstance(g, Neg):
+            todo.append((g.child, d))
+        elif isinstance(g, (Box, Dia)):
+            todo.append((g.child, d + 1))
+        else:
+            todo.append((g.left, d))  # type: ignore[attr-defined]
+            todo.append((g.right, d))  # type: ignore[attr-defined]
+    return Metrics(length, depth, frozenset(names))
 
 
 def variables(f: Formula) -> set[str]:

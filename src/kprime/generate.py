@@ -41,7 +41,9 @@ def _limit_case(f: Formula) -> tuple[Formula, ...] | None:
     return None
 
 
-def _stream(f: Formula) -> Iterator[Formula]:
+def iter_pi(f: Formula) -> Iterator[Formula]:
+    """All prime implicates of f, one representative per equivalence class,
+    each yielded as soon as the filter keeps it."""
     limit = _limit_case(f)
     if limit is not None:
         yield from limit
@@ -75,18 +77,9 @@ def _stream(f: Formula) -> Iterator[Formula]:
             yield cands[i]
 
 
-def gen_pi(f: Formula, mode: str = "eager"):
-    """All prime implicates of f, one representative per equivalence class.
-
-    Eager mode returns a PiSet; iterative mode returns a generator yielding
-    the same clauses in the same order.
-    """
-    if mode not in ("eager", "iterative"):
-        raise ValueError("mode must be 'eager' or 'iterative': %r" % mode)
-    stream = _stream(f)
-    if mode == "iterative":
-        return stream
-    return PiSet(tuple(stream))
+def gen_pi(f: Formula) -> PiSet:
+    """All prime implicates of f, in the order iter_pi yields them."""
+    return PiSet(tuple(iter_pi(f)))
 
 
 def gen_implicants(f: Formula) -> PiSet:

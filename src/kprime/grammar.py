@@ -1,5 +1,11 @@
 """Membership tests for the D1-D5 literal/clause/term grammars and the
-structured D4 clause/term views used by the decomposition algorithms."""
+structured D4 clause/term views used by the decomposition algorithms.
+
+The production table _GRAMMAR is the one place the D1-D5 definitions
+live. Every nonterminal has at most one production per node kind, so a
+formula is checked top-down by one explicit-stack walk, _derives, which
+is_member, is_nnf and view4 all call.
+"""
 
 from __future__ import annotations
 
@@ -28,192 +34,98 @@ class GrammarError(ValueError):
     """The formula is not derivable from the required nonterminal."""
 
 
-def _prop_lit(f):
-    return isinstance(f, Var) or (isinstance(f, Neg) and isinstance(f.child, Var))
+# Each nonterminal: the nonterminal it also derives by a unit production
+# (None if none), and its own productions, {node kind: the nonterminal
+# each child must derive, or _ACCEPT for a leaf}. And/Or children all
+# derive the same nonterminal, so And/Or read n-ary. A Neg must sit
+# directly over a variable.
+_ACCEPT = None
+
+_GRAMMAR = {
+    "atom": (None, {Var: _ACCEPT}),
+    "lit": (None, {Var: _ACCEPT, Neg: "atom"}),
+    "nnf": ("lit", {And: "nnf", Or: "nnf", Box: "nnf", Dia: "nnf"}),
+    # D1: literals close under both modalities, clauses/terms recurse
+    # through them
+    "lit1": ("lit", {Box: "lit1", Dia: "lit1"}),
+    "clause1": ("lit", {Or: "clause1", Box: "clause1", Dia: "clause1"}),
+    "term1": ("lit", {And: "term1", Box: "term1", Dia: "term1"}),
+    # D2: clauses/terms are disjunctions/conjunctions of D1 literals
+    "clause2": ("lit1", {Or: "clause2"}),
+    "term2": ("lit1", {And: "term2"}),
+    # D3: one clause grammar, shared by D3a and D3b
+    "clause3": ("lit", {Or: "clause3", Box: "clause3", Dia: "conj3"}),
+    "conj3": ("clause3", {And: "conj3"}),
+    "term3a": ("lit", {And: "term3a", Box: "disj3a", Dia: "term3a"}),
+    "disj3a": ("term3a", {Or: "disj3a"}),
+    "lit3b": ("lit", {Box: "clause3", Dia: "conj3"}),
+    "term3b": ("lit3b", {And: "term3b"}),
+    # D4: modal literals wrap arbitrary NNF bodies
+    "lit4": ("lit", {Box: "nnf", Dia: "nnf"}),
+    "clause4": ("lit4", {Or: "clause4"}),
+    "term4": ("lit4", {And: "term4"}),
+    # D5: box bodies are clauses, diamond bodies are terms
+    "lit5": ("lit", {Box: "clause5", Dia: "term5"}),
+    "clause5": ("lit5", {Or: "clause5"}),
+    "term5": ("lit5", {And: "term5"}),
+}
+
+_L, _C, _T = SyntacticKind.LITERAL, SyntacticKind.CLAUSE, SyntacticKind.TERM
+_START = {
+    (DefId.D1, _L): "lit1", (DefId.D1, _C): "clause1", (DefId.D1, _T): "term1",
+    (DefId.D2, _L): "lit1", (DefId.D2, _C): "clause2", (DefId.D2, _T): "term2",
+    (DefId.D3A, _L): "lit1", (DefId.D3A, _C): "clause3", (DefId.D3A, _T): "term3a",
+    (DefId.D3B, _L): "lit3b", (DefId.D3B, _C): "clause3", (DefId.D3B, _T): "term3b",
+    (DefId.D4, _L): "lit4", (DefId.D4, _C): "clause4", (DefId.D4, _T): "term4",
+    (DefId.D5, _L): "lit5", (DefId.D5, _C): "clause5", (DefId.D5, _T): "term5",
+}
+
+
+def _resolve(grammar):
+    # Fold each unit-production chain into the nonterminal's own rules and
+    # point every child at the resolved rules of its nonterminal, so one
+    # step of the walk is one dict lookup.
+    table = {name: {} for name in grammar}
+    for name, rules in table.items():
+        unit = name
+        while unit is not None:
+            unit, own = grammar[unit]
+            for kind, child in own.items():
+                rules.setdefault(kind, _ACCEPT if child is _ACCEPT else table[child])
+    return table
+
+
+_TABLE = _resolve(_GRAMMAR)
+_REJECT = object()
+
+
+def _derives(f, nonterminal: str) -> bool:
+    # Top-down and left to right; stops at the first node that has no
+    # production, so only the nodes the answer needs are visited.
+    todo = [(f, _TABLE[nonterminal])]
+    while todo:
+        g, rules = todo.pop()
+        child = rules.get(type(g), _REJECT)
+        if child is _REJECT:
+            return False
+        if child is _ACCEPT:
+            continue
+        if isinstance(g, (And, Or)):
+            todo.append((g.right, child))
+            todo.append((g.left, child))
+        else:
+            todo.append((g.child, child))
+    return True
 
 
 def is_nnf(f) -> bool:
-    if isinstance(f, Var):
-        return True
-    if isinstance(f, Neg):
-        return isinstance(f.child, Var)
-    if isinstance(f, (And, Or)):
-        return is_nnf(f.left) and is_nnf(f.right)
-    if isinstance(f, (Box, Dia)):
-        return is_nnf(f.child)
-    return False
-
-
-# D1: literals close under both modalities, clauses/terms recurse through them
-
-def _lit_d1(f):
-    if _prop_lit(f):
-        return True
-    if isinstance(f, (Box, Dia)):
-        return _lit_d1(f.child)
-    return False
-
-
-def _clause_d1(f):
-    if _prop_lit(f):
-        return True
-    if isinstance(f, (Box, Dia)):
-        return _clause_d1(f.child)
-    if isinstance(f, Or):
-        return _clause_d1(f.left) and _clause_d1(f.right)
-    return False
-
-
-def _term_d1(f):
-    if _prop_lit(f):
-        return True
-    if isinstance(f, (Box, Dia)):
-        return _term_d1(f.child)
-    if isinstance(f, And):
-        return _term_d1(f.left) and _term_d1(f.right)
-    return False
-
-
-# D2: clauses/terms are disjunctions/conjunctions of D1 literals
-
-def _clause_d2(f):
-    if isinstance(f, Or):
-        return _clause_d2(f.left) and _clause_d2(f.right)
-    return _lit_d1(f)
-
-
-def _term_d2(f):
-    if isinstance(f, And):
-        return _term_d2(f.left) and _term_d2(f.right)
-    return _lit_d1(f)
-
-
-# D3 clause grammar, shared by D3a and D3b
-
-def _clause_d3(f):
-    if _prop_lit(f):
-        return True
-    if isinstance(f, Box):
-        return _clause_d3(f.child)
-    if isinstance(f, Dia):
-        return _conj_d3(f.child)
-    if isinstance(f, Or):
-        return _clause_d3(f.left) and _clause_d3(f.right)
-    return False
-
-
-def _conj_d3(f):
-    if isinstance(f, And):
-        return _conj_d3(f.left) and _conj_d3(f.right)
-    return _clause_d3(f)
-
-
-def _term_d3a(f):
-    if _prop_lit(f):
-        return True
-    if isinstance(f, Box):
-        return _disj_d3a(f.child)
-    if isinstance(f, Dia):
-        return _term_d3a(f.child)
-    if isinstance(f, And):
-        return _term_d3a(f.left) and _term_d3a(f.right)
-    return False
-
-
-def _disj_d3a(f):
-    if isinstance(f, Or):
-        return _disj_d3a(f.left) and _disj_d3a(f.right)
-    return _term_d3a(f)
-
-
-def _lit_d3b(f):
-    if _prop_lit(f):
-        return True
-    if isinstance(f, Box):
-        return _clause_d3(f.child)
-    if isinstance(f, Dia):
-        return _conj_d3(f.child)
-    return False
-
-
-def _term_d3b(f):
-    if isinstance(f, And):
-        return _term_d3b(f.left) and _term_d3b(f.right)
-    return _lit_d3b(f)
-
-
-# D4: modal literals wrap arbitrary NNF bodies
-
-def _lit_d4(f):
-    if _prop_lit(f):
-        return True
-    if isinstance(f, (Box, Dia)):
-        return is_nnf(f.child)
-    return False
-
-
-def _clause_d4(f):
-    if isinstance(f, Or):
-        return _clause_d4(f.left) and _clause_d4(f.right)
-    return _lit_d4(f)
-
-
-def _term_d4(f):
-    if isinstance(f, And):
-        return _term_d4(f.left) and _term_d4(f.right)
-    return _lit_d4(f)
-
-
-# D5: box bodies are clauses, diamond bodies are terms
-
-def _lit_d5(f):
-    if _prop_lit(f):
-        return True
-    if isinstance(f, Box):
-        return _clause_d5(f.child)
-    if isinstance(f, Dia):
-        return _term_d5(f.child)
-    return False
-
-
-def _clause_d5(f):
-    if isinstance(f, Or):
-        return _clause_d5(f.left) and _clause_d5(f.right)
-    return _lit_d5(f)
-
-
-def _term_d5(f):
-    if isinstance(f, And):
-        return _term_d5(f.left) and _term_d5(f.right)
-    return _lit_d5(f)
-
-
-_MEMBERS = {
-    (DefId.D1, SyntacticKind.LITERAL): _lit_d1,
-    (DefId.D1, SyntacticKind.CLAUSE): _clause_d1,
-    (DefId.D1, SyntacticKind.TERM): _term_d1,
-    (DefId.D2, SyntacticKind.LITERAL): _lit_d1,
-    (DefId.D2, SyntacticKind.CLAUSE): _clause_d2,
-    (DefId.D2, SyntacticKind.TERM): _term_d2,
-    (DefId.D3A, SyntacticKind.LITERAL): _lit_d1,
-    (DefId.D3A, SyntacticKind.CLAUSE): _clause_d3,
-    (DefId.D3A, SyntacticKind.TERM): _term_d3a,
-    (DefId.D3B, SyntacticKind.LITERAL): _lit_d3b,
-    (DefId.D3B, SyntacticKind.CLAUSE): _clause_d3,
-    (DefId.D3B, SyntacticKind.TERM): _term_d3b,
-    (DefId.D4, SyntacticKind.LITERAL): _lit_d4,
-    (DefId.D4, SyntacticKind.CLAUSE): _clause_d4,
-    (DefId.D4, SyntacticKind.TERM): _term_d4,
-    (DefId.D5, SyntacticKind.LITERAL): _lit_d5,
-    (DefId.D5, SyntacticKind.CLAUSE): _clause_d5,
-    (DefId.D5, SyntacticKind.TERM): _term_d5,
-}
+    return _derives(f, "nnf")
 
 
 def is_member(f: Formula, d: DefId, k: SyntacticKind) -> bool:
     """True iff f is derivable from nonterminal k of grammar d, with And/Or
     read n-ary."""
-    return _MEMBERS[(d, k)](f)
+    return _derives(f, _START[(d, k)])
 
 
 def _flatten(f, node):
@@ -231,6 +143,15 @@ def _flatten(f, node):
 
 def _dedup(parts):
     return tuple(dict.fromkeys(parts))
+
+
+def _split4(parts):
+    # D4 literals split into propositional literals, diamond bodies and
+    # box bodies, each in source order
+    lits = tuple(p for p in parts if not isinstance(p, (Box, Dia)))
+    diamonds = tuple(p.child for p in parts if isinstance(p, Dia))
+    boxes = tuple(p.child for p in parts if isinstance(p, Box))
+    return lits, diamonds, boxes
 
 
 @dataclass(frozen=True)
@@ -278,20 +199,13 @@ class TermView4:
 def view4(f: Formula, k: SyntacticKind):
     """Structured view of a D4 clause or term; raises GrammarError
     otherwise. Duplicate disjuncts/conjuncts collapse to the first copy."""
-    if k is SyntacticKind.CLAUSE:
-        if not _clause_d4(f):
-            raise GrammarError("not a d4 clause: %s" % f)
-        parts = _dedup(_flatten(f, Or))
-        gammas = tuple(p for p in parts if _prop_lit(p))
-        diamonds = tuple(p.child for p in parts if isinstance(p, Dia))
-        boxes = tuple(p.child for p in parts if isinstance(p, Box))
-        return ClauseView4(gammas, diamonds, boxes, parts)
-    if k is SyntacticKind.TERM:
-        if not _term_d4(f):
-            raise GrammarError("not a d4 term: %s" % f)
-        parts = _dedup(_flatten(f, And))
-        lits = tuple(p for p in parts if _prop_lit(p))
-        diamonds = tuple(p.child for p in parts if isinstance(p, Dia))
-        boxes = tuple(p.child for p in parts if isinstance(p, Box))
-        return TermView4(lits, diamonds, boxes, parts)
-    raise GrammarError("view4 needs kind clause or term, got %s" % k)
+    if k not in _VIEWS:
+        raise GrammarError("view4 needs kind clause or term, got %s" % k)
+    node, view = _VIEWS[k]
+    if not _derives(f, _START[(DefId.D4, k)]):
+        raise GrammarError("not a d4 %s: %s" % (k.value, f))
+    parts = _dedup(_flatten(f, node))
+    return view(*_split4(parts), parts)
+
+
+_VIEWS = {_C: (Or, ClauseView4), _T: (And, TermView4)}

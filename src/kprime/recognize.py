@@ -248,15 +248,14 @@ def test_pi_report(l: Formula, phi: Formula) -> TestOutcome:
     propositional literals, 5 box disjuncts against the remainder, 6 the
     diamond disjuncts merged into one body.
     """
-    if not is_member(l, DefId.D4, SyntacticKind.CLAUSE):
-        raise GrammarError("not a clause: %s" % l)
+    view = view4(l, SyntacticKind.CLAUSE)
     if not entails(phi, l):
         return TestOutcome(False, 1)
     if not sat(phi):
         return TestOutcome(not sat(l), 2)
     if is_tautology(l):
         return TestOutcome(is_tautology(phi), 2)
-    view = normalize_clause(view4(l, SyntacticKind.CLAUSE))
+    view = normalize_clause(view)
     if not test_prop_pi(view, phi):
         return TestOutcome(False, 4)
     psis = list(view.diamonds)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .formulas import And, Box, Dia, Formula, Neg, Or, Var, _depth, nnf, variables
+from .formulas import And, Box, Dia, Formula, Neg, Or, Var, metrics, nnf, variables
 
 
 class UnknownWorldError(ValueError):
@@ -280,7 +280,7 @@ def _search(g, fuel):
         # no diamonds in NNF: leaf models already decide satisfiability
         return None
 
-    for _ in range(_depth(g)):
+    for _ in range(metrics(g).depth):
         # reachable (AND, OR) summaries of nonempty successor sets of size
         # up to ndia, smallest sets first
         pairs: dict[tuple[int, int], tuple] = {}

@@ -123,15 +123,15 @@ def test_iter_matches_eager():
 
 
 def test_iter_prints_each_implicate_when_found(monkeypatch):
-    real = cli.gen_pi
+    real = cli.iter_pi
     printed = []
 
-    def recording(f, mode):
-        for clause in real(f, mode=mode):
+    def recording(f):
+        for clause in real(f):
             yield clause
             printed.append(sys.stdout.getvalue())
 
-    monkeypatch.setattr(cli, "gen_pi", recording)
+    monkeypatch.setattr(cli, "iter_pi", recording)
     code, out, _ = run_cli("genpi", "--iter", "-e", EX15)
     lines = out.splitlines(keepends=True)
     assert code == 0 and len(lines) == 4

@@ -1,9 +1,22 @@
 import random
+import sys
 
 import pytest
 
 from kprime.decision import equivalent
-from kprime.formulas import And, Box, Dia, Neg, Or, Var, dual_negate, fold_and, fold_or
+from kprime.formulas import (
+    And,
+    Box,
+    Dia,
+    Metrics,
+    Neg,
+    Or,
+    Var,
+    dual_negate,
+    fold_and,
+    fold_or,
+    metrics,
+)
 from kprime.grammar import (
     ClauseView4,
     DefId,
@@ -51,6 +64,28 @@ def test_is_nnf():
     assert is_nnf(parse("<>(!a | [](b & !c))"))
     assert not is_nnf(parse("!(a | b)"))
     assert not is_nnf(parse("<>!!a"))
+
+
+def test_deep_and_wide_input_without_recursion():
+    # Answers are collected as booleans, so a failure never prints the
+    # formula itself.
+    assert sys.getrecursionlimit() <= 1000
+    n = 10**5
+    chain = And(a, b)
+    for _ in range(n):
+        chain = Box(chain)
+    # only the D1 and D3a terms and the D4 kinds admit And under boxes
+    chain_members = {(DefId.D1, T), (DefId.D3A, T), (DefId.D4, L), (DefId.D4, C), (DefId.D4, T)}
+    wide = fold_or([Var("a%d" % i) for i in range(n)])
+    wide_members = {(d, C) for d in DefId}
+    for f, members, want in (
+        (chain, chain_members, Metrics(n + 3, n, frozenset("ab"))),
+        (wide, wide_members, Metrics(2 * n - 1, 0, frozenset("a%d" % i for i in range(n)))),
+    ):
+        got = {(d, k) for d in DefId for k in SyntacticKind if is_member(f, d, k)}
+        assert got == members
+        assert is_nnf(f)
+        assert metrics(f) == want
 
 
 def random_d5(rng, names, depth, kind):

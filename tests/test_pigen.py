@@ -1,8 +1,6 @@
 import random
 from math import prod
 
-import pytest
-
 from kprime import And, Box, Dia, Neg, Or, Var, bottom, metrics, parse, top
 from kprime import decision
 from kprime import dnf as dnf_module
@@ -11,7 +9,7 @@ from kprime.decision import entails, equivalent
 from kprime.dnf import delta_set, dnf4
 from kprime.families import FamilySpec, generate
 from kprime.formulas import fold_and, fold_or
-from kprime.generate import PiSet, gen_implicants, gen_pi
+from kprime.generate import PiSet, gen_implicants, gen_pi, iter_pi
 from kprime.grammar import DefId, SyntacticKind, is_member
 
 from helpers import random_formula
@@ -44,18 +42,13 @@ def test_limit_cases():
     assert gen_pi(parse("b | (a | !a)")).clauses == (Or(a, Neg(a)),)
 
 
-def test_mode_validation():
-    with pytest.raises(ValueError):
-        gen_pi(a, mode="lazy")
-
-
 def test_iterative_matches_eager():
     rng = random.Random(61)
     fixtures = [parse(EX15), parse("[](a & b)"), parse("a & !a"), parse("a | !a")]
     for _ in range(40):
         fixtures.append(random_formula(rng, "abc", rng.randint(0, 2), rng.randint(1, 8)))
     for g in fixtures:
-        assert tuple(gen_pi(g, mode="iterative")) == gen_pi(g).clauses
+        assert tuple(iter_pi(g)) == gen_pi(g).clauses
 
 
 def test_each_candidate_checked_once_for_tautology(monkeypatch):
