@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decision import _modal_sat, sat, surface_branches
-from .formulas import And, Box, Dia, Formula, dual_negate, nnf
+from .formulas import And, Box, Dia, Formula, _is_reserved, dual_negate, nnf
 from .grammar import TermView4, _split4
 
 
@@ -15,9 +15,14 @@ def dnf4(f: Formula):
 
     Terms come in surface-branch order of nnf(f); structurally identical
     terms are emitted once; an empty stream means f is unsatisfiable.
+    Surface literals of the variable reserved for true/false are dropped:
+    they come only from splitting a `true` (_c | !_c), whose two branches
+    are the same term without them, so a term with no parts stands for
+    `true`.
     """
     seen = set()
     for parts in surface_branches(nnf(f)):
+        parts = tuple(p for p in parts if not _is_reserved(p))
         if parts in seen:
             continue
         seen.add(parts)

@@ -60,7 +60,10 @@ def bottom() -> Formula:
 
 
 def unparse(f: Formula) -> str:
-    """Canonical fully parenthesized text form; parse(unparse(f)) == f."""
+    """Canonical fully parenthesized text form; parse(unparse(f)) == f, up
+    to the operand order of the true/false sugar, printed as the keyword."""
+    if isinstance(f, (And, Or)) and _is_sugar(f):
+        return "true" if isinstance(f, Or) else "false"
     if isinstance(f, Var):
         return f.name
     if isinstance(f, Neg):
@@ -77,12 +80,25 @@ def unparse(f: Formula) -> str:
 
 
 def _arg(f: Formula) -> str:
-    # operand of a unary operator; And/Or already come out parenthesized
+    # operand of a unary operator; And/Or already come out parenthesized,
+    # or as a keyword
     if isinstance(f, Var):
         return f.name
     if isinstance(f, (And, Or)):
         return unparse(f)
     return "(" + unparse(f) + ")"
+
+
+def _is_reserved(p: Formula) -> bool:
+    # _c or !_c
+    v = p.child if isinstance(p, Neg) else p
+    return isinstance(v, Var) and v.name == RESERVED
+
+
+def _is_sugar(f: And | Or) -> bool:
+    # _c | !_c or _c & !_c, in either operand order
+    return (_is_reserved(f.left) and _is_reserved(f.right)
+            and isinstance(f.left, Neg) is not isinstance(f.right, Neg))
 
 
 def nnf(f: Formula) -> Formula:

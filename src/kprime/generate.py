@@ -5,11 +5,23 @@ candidate index runs lexicographically with the first term's entry as the
 most significant digit.  A candidate survives when no earlier candidate
 strictly entails it and it entails back every later candidate that entails
 it, so each equivalence class is represented by its lowest index.
+
+Entailment between candidates is read off one table over the few distinct
+entries.  A disjunction entails r iff each of its disjuncts does, so
+candidate j entails candidate i iff every entry of j entails i.  For each
+candidate i the table holds one bitmask, the entries that entail i; the
+candidates entailing i are exactly the picks of one such entry per term.
+They are enumerated in index order, so the first one below i rejects i at
+once, and a later one keeps i only if i entails it back.  A tautological
+candidate is entailed by every other one and never survives, since f
+itself is not a tautology; the picks entailing a non-tautological
+candidate are not tautologies either.
 """
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import chain, product
+from math import prod
 from typing import Iterator
 
 from .decision import _clause_entails, is_tautology, sat
@@ -49,32 +61,35 @@ def iter_pi(f: Formula) -> Iterator[Formula]:
         yield from limit
         return
     deltas = [_delta_entries(t) for t in dnf4(f)]
-    cands = [fold_or(picks) for picks in product(*deltas)]
-    taut = [is_tautology(c) for c in cands]
+    bit: dict[Formula, int] = {}
+    for e in chain.from_iterable(deltas):
+        bit.setdefault(e, 1 << len(bit))
+    entries = [(b, view4(e, SyntacticKind.CLAUSE)) for e, b in bit.items()]
+    picks = list(product(*deltas))
+    own = [sum({bit[e] for e in ps}) for ps in picks]
+    strides = [prod(len(d) for d in deltas[t + 1:]) for t in range(len(deltas))]
 
     @cache
-    def view(i: int):
-        return view4(cands[i], SyntacticKind.CLAUSE)
+    def entailers(i: int) -> int:
+        # the entries that entail the non-tautological candidate i: its own
+        # disjuncts, and every other entry the clause check accepts
+        r = view4(fold_or(picks[i]), SyntacticKind.CLAUSE)
+        return own[i] | sum(b for b, e in entries
+                            if not b & own[i] and _clause_entails(e, r))
 
-    @cache
-    def entails(j: int, i: int) -> bool:
-        if taut[i]:
-            return True
-        if taut[j]:
-            return False
-        return _clause_entails(view(j), view(i))
-
-    total = len(cands)
-    for i in range(total):
-        keep = True
-        for j in range(total):
-            if j == i:
-                continue
-            if entails(j, i) and (j < i or not entails(i, j)):
-                keep = False
+    for i, ps in enumerate(picks):
+        c = fold_or(ps)
+        if is_tautology(c):
+            continue
+        s = entailers(i)
+        rows = [[k * st for k, e in enumerate(d) if bit[e] & s]
+                for d, st in zip(deltas, strides)]
+        for offsets in product(*rows):
+            j = sum(offsets)
+            if j < i or (j > i and own[i] & ~entailers(j)):
                 break
-        if keep:
-            yield cands[i]
+        else:
+            yield c
 
 
 def gen_pi(f: Formula) -> PiSet:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .formulas import And, Box, Dia, Formula, Neg, Or, Var, fold_and, fold_or
+from .formulas import And, Box, Dia, Formula, Neg, Or, Var, fold_and, fold_or, top
 
 
 class DefId(Enum):
@@ -179,7 +179,8 @@ class ClauseView4:
 class TermView4:
     """A D4 term split into propositional literals L_T, diamond bodies D_T,
     and box bodies B_T; beta() is the conjunction of B_T (None for the
-    empty conjunction, read as the tautology)."""
+    empty conjunction, read as the tautology). A term with no parts
+    assembles to true."""
 
     lits: tuple[Formula, ...]
     diamonds: tuple[Formula, ...]
@@ -190,7 +191,7 @@ class TermView4:
         return fold_and(self.boxes)
 
     def assemble(self) -> Formula:
-        return fold_and(self.parts)
+        return fold_and(self.parts, top())
 
     def __str__(self) -> str:
         return str(self.assemble())

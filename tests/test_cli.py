@@ -5,9 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from kprime import cli, parse
-from kprime.decision import entails
-from kprime.formulas import unparse
+from kprime import And, Box, Dia, Neg, Or, Var, cli, parse
+from kprime.decision import entails, equivalent
+from kprime.formulas import fold_and, fold_or, unparse
 
 from helpers import random_formula, run_cli
 
@@ -20,6 +20,39 @@ def test_entail_verdicts():
     assert (code, out, err) == (0, "yes\n", "")
     code, out, _ = run_cli("entail", "-e", "[]a", "-e", "[](a&b)")
     assert (code, out) == (1, "no\n")
+
+
+def test_true_false_output_parses_back():
+    c = Var("_c")
+    t, f = Or(c, Neg(c)), And(c, Neg(c))
+
+    def clauses(parts):
+        return fold_and(parts, t)
+
+    def terms(parts):
+        return fold_or(parts, f)
+
+    # what each command printed before the true/false sugar was printed
+    # as the keyword, and how its lines combine
+    before = {
+        ("genpi", "true"): (clauses, [t]),
+        ("genpi", "false"): (clauses, [Dia(f)]),
+        ("implicants", "true"): (terms, [Box(Or(Neg(c), c))]),
+        ("implicants", "false"): (terms, [And(Neg(c), c)]),
+        ("nnf", "true"): (clauses, [t]),
+        ("nnf", "false"): (clauses, [f]),
+        ("dnf4", "true"): (terms, [c, Neg(c)]),
+        ("dnf4", "false"): (terms, []),
+        ("cnf4", "true"): (clauses, []),
+        ("cnf4", "false"): (clauses, [c, Neg(c)]),
+    }
+    for (command, text), (join, old) in before.items():
+        code, out, err = run_cli(command, "-e", text)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        for line in lines:
+            assert run_cli("nnf", "-e", line)[0] == 0
+        assert equivalent(join([parse(line) for line in lines]), join(old))
 
 
 def test_genpi_contradictory_clause():

@@ -16,7 +16,7 @@ from kprime import (
 )
 from kprime.decision import entails, equivalent, sat
 from kprime.dnf import cnf4, delta_set, dnf4
-from kprime.formulas import fold_and, fold_or
+from kprime.formulas import dual_negate, fold_and, fold_or
 from kprime.grammar import DefId, SyntacticKind, TermView4, is_member
 
 from helpers import random_formula
@@ -66,6 +66,17 @@ def test_dnf4_empty_iff_unsat():
     assert list(dnf4(parse("a & !a"))) == []
     assert list(dnf4(parse("([]a) & <>!a"))) == []
     assert list(dnf4(parse("<>(b & !b)"))) == []
+
+
+def test_dnf4_drops_reserved_literals():
+    # a split `true` gives two branches that differ only in _c
+    assert [t.parts for t in dnf4(top())] == [()]
+    assert next(dnf4(top())).assemble() == top()
+    assert [t.assemble() for t in dnf4(parse("a & true"))] == [a]
+    assert [t.assemble() for t in dnf4(parse("(a | true) & <>true"))] == [
+        And(a, Dia(top())), Dia(top())]
+    assert list(dnf4(parse("a & false"))) == []
+    assert cnf4(bottom()) == (dual_negate(top()),)
 
 
 def test_dnf4_dedups_repeated_branches():

@@ -104,8 +104,14 @@ def test_unparse_golden():
     assert unparse(Box(And(a, b))) == "[](a & b)"
     assert unparse(a) == "a"
     assert unparse(Neg(Box(a))) == "!([]a)"
-    assert unparse(top()) == "(_c | !_c)"
-    assert unparse(bottom()) == "(_c & !_c)"
+    assert unparse(top()) == "true"
+    assert unparse(bottom()) == "false"
+    # the duals of the sugar, as nnf and dual_negate build them
+    assert unparse(dual_negate(top())) == "false"
+    assert unparse(dual_negate(bottom())) == "true"
+    assert unparse(Box(top())) == "[]true"
+    assert unparse(Or(a, Dia(bottom()))) == "(a | <>false)"
+    assert unparse(Or(Var("_c"), Var("_c"))) == "(_c | _c)"
 
 
 def test_unparse_parse_round_trip():

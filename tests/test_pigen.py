@@ -1,16 +1,18 @@
 import random
+from functools import cache
+from itertools import product
 from math import prod
 
 from kprime import And, Box, Dia, Neg, Or, Var, bottom, metrics, parse, top
 from kprime import decision
 from kprime import dnf as dnf_module
 from kprime import generate as generate_module
-from kprime.decision import entails, equivalent
-from kprime.dnf import delta_set, dnf4
+from kprime.decision import _clause_entails, entails, equivalent, is_tautology
+from kprime.dnf import _delta_entries, delta_set, dnf4
 from kprime.families import FamilySpec, generate
-from kprime.formulas import fold_and, fold_or
-from kprime.generate import PiSet, gen_implicants, gen_pi, iter_pi
-from kprime.grammar import DefId, SyntacticKind, is_member
+from kprime.formulas import dual_negate, fold_and, fold_or
+from kprime.generate import PiSet, _limit_case, gen_implicants, gen_pi, iter_pi
+from kprime.grammar import DefId, SyntacticKind, is_member, view4
 
 from helpers import random_formula
 
@@ -66,6 +68,71 @@ def test_each_candidate_checked_once_for_tautology(monkeypatch):
     gen_pi(phi)
     # the limit-case check on phi, then one check per candidate
     assert len(checked) <= candidates + 1
+
+
+def _all_pairs_pi(f):
+    # Reference filter: every ordered pair of candidates compared by the
+    # clause check, each with its own tautology rules.
+    limit = _limit_case(f)
+    if limit is not None:
+        return limit
+    deltas = [_delta_entries(t) for t in dnf4(f)]
+    cands = [fold_or(picks) for picks in product(*deltas)]
+    taut = [is_tautology(c) for c in cands]
+    views = [view4(c, SyntacticKind.CLAUSE) for c in cands]
+
+    @cache
+    def entails_(j, i):
+        if taut[i]:
+            return True
+        if taut[j]:
+            return False
+        return _clause_entails(views[j], views[i])
+
+    return tuple(
+        cands[i] for i in range(len(cands))
+        if not any(entails_(j, i) and (j < i or not entails_(i, j))
+                   for j in range(len(cands)) if j != i)
+    )
+
+
+def test_entry_table_matches_all_pairs_filter():
+    fixtures = [parse(EX15), parse("[](a & b)"), parse("<>(a & !a)"),
+                parse("b & !b & a"), parse("a | !a"), parse("b | (a | !a)")]
+    fixtures += [generate(FamilySpec("thm18", n=n))[0] for n in range(1, 5)]
+    fixtures.append(generate(FamilySpec("thm21", n=2))[0])
+    with_taut = parse("(a & <>b) | (!a & []c)")
+    deltas = [_delta_entries(t) for t in dnf4(with_taut)]
+    assert any(is_tautology(fold_or(p)) for p in product(*deltas))
+    fixtures.append(with_taut)
+    for g in fixtures:
+        assert tuple(iter_pi(g)) == _all_pairs_pi(g)
+    # the clause built from the entry a, shared by both terms of EX15
+    assert Or(a, a) in _all_pairs_pi(parse(EX15))
+    rng = random.Random(70)
+    for _ in range(160):
+        g = random_formula(rng, "abc", rng.randint(0, 2), rng.randint(1, 9))
+        assert gen_pi(g).clauses == _all_pairs_pi(g)
+        assert gen_implicants(g).clauses == tuple(
+            dual_negate(l) for l in _all_pairs_pi(dual_negate(g)))
+
+
+def test_entry_table_bounds_clause_checks(monkeypatch):
+    # thm21 n=2: 81 candidates over 12 distinct entries, 4 of them each
+    # candidate's own.  The entry table checks every other entry against
+    # each candidate once: 8 * 81 = 648 clause checks, against 6480 for
+    # the all-pairs filter.
+    phi, _ = generate(FamilySpec("thm21", n=2))
+    clause_checks = []
+    real = generate_module._clause_entails
+
+    def counting(l, r):
+        clause_checks.append((l, r))
+        return real(l, r)
+
+    monkeypatch.setattr(generate_module, "_clause_entails", counting)
+    assert len(gen_pi(phi)) == 81
+    assert len(clause_checks) == 648
 
 
 def test_delta_entries_not_reproved_satisfiable(monkeypatch):
