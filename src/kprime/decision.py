@@ -5,11 +5,14 @@ and diamond subformulas read as atoms) are streamed one at a time, never
 materialized as a whole, and each propositionally consistent branch
 gamma & <>psi_1 & ... & []chi_1 & ... & []chi_n is satisfiable iff every
 psi_i & chi_1 & ... & chi_n is, one modal level down.  Verdicts of the
-modal recursion are memoized, and repeated branch assignments are solved
-once per level.
+modal recursion are memoized across calls in a bounded LRU cache; its keys
+are interned formulas, so a lookup hashes no subtree.  Repeated branch
+assignments are solved once per level.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .formulas import (
     And,
@@ -82,9 +85,6 @@ def surface_branches(g: Formula):
     yield from walk((g,))
 
 
-# verdict memo for the modal recursion; cleared wholesale when full
-_SAT_CACHE: dict[Formula, bool] = {}
-_SAT_CACHE_LIMIT = 1 << 18
 # per-call dedup of revisited branch assignments, capped to bound memory
 _TRIED_LIMIT = 1 << 16
 
@@ -96,14 +96,11 @@ def _modal_sat(branch) -> bool:
     if not dias:
         return True
     chi = fold_and([p.child for p in branch if isinstance(p, Box)])
-    return all(_sat_nnf(p if chi is None else And(p, chi)) for p in dias)
+    return all(map(_sat_nnf, [p if chi is None else And(p, chi) for p in dias]))
 
 
+@lru_cache(maxsize=1 << 18)
 def _sat_nnf(g: Formula) -> bool:
-    hit = _SAT_CACHE.get(g)
-    if hit is not None:
-        return hit
-    result = False
     tried: set[frozenset] = set()
     for branch in surface_branches(g):
         key = frozenset(branch)
@@ -112,12 +109,8 @@ def _sat_nnf(g: Formula) -> bool:
         if len(tried) < _TRIED_LIMIT:
             tried.add(key)
         if _modal_sat(branch):
-            result = True
-            break
-    if len(_SAT_CACHE) >= _SAT_CACHE_LIMIT:
-        _SAT_CACHE.clear()
-    _SAT_CACHE[g] = result
-    return result
+            return True
+    return False
 
 
 def sat(f: Formula) -> bool:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decision import _modal_sat, sat, surface_branches
-from .formulas import And, Box, Dia, Formula, _is_reserved, dual_negate, nnf
+from .formulas import _RESERVED_LITS, And, Box, Dia, Formula, dual_negate, nnf
 from .grammar import TermView4, _split4
 
 
@@ -22,7 +22,7 @@ def dnf4(f: Formula):
     """
     seen = set()
     for parts in surface_branches(nnf(f)):
-        parts = tuple(p for p in parts if not _is_reserved(p))
+        parts = tuple(p for p in parts if p not in _RESERVED_LITS)
         if parts in seen:
             continue
         seen.add(parts)

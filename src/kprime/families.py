@@ -72,14 +72,14 @@ def _bvar(i: int, j: int) -> Formula:
     return Var("b_%d_%d" % (i, j))
 
 
-def generate(spec: FamilySpec, n_cap: int = N_CAP) -> tuple[Formula, list[Formula]]:
+def generate(spec: FamilySpec) -> tuple[Formula, list[Formula]]:
     """Build the family instance: (formula, distinguished clauses)."""
     fam = spec.family
     if fam in ("thm18", "thm21"):
         if spec.n < 1:
             raise ValueError("n must be positive")
-        if spec.n > n_cap:
-            raise ValueError("%s n=%d exceeds cap %d" % (fam, spec.n, n_cap))
+        if spec.n > N_CAP:
+            raise ValueError("%s n=%d exceeds cap %d" % (fam, spec.n, N_CAP))
         return _thm18(spec.n) if fam == "thm18" else _thm21(spec.n)
     if fam == "thm19":
         if spec.n < 1:

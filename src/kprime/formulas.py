@@ -1,69 +1,104 @@
-"""Formula AST for the modal logic K: constructors, printer, NNF, metrics."""
+"""Formula AST for the modal logic K: constructors, printer, NNF, metrics.
+
+Nodes are hash-consed (Filliatre & Conchon, ML Workshop 2006): building a
+node equal to a live one returns that node, so == is identity and hash O(1).
+"""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 # reserved variable used to desugar the true/false keywords
 RESERVED = "_c"
 
+# (class, fields) -> the live node with those fields; the fields of an
+# inner node are its already interned children
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
 
 class Formula:
-    """Base class of the AST. Instances are immutable and hashable."""
+    """Base class of the AST. Instances are interned and immutable."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        if len(fields) != len(cls.__slots__):
+            raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            _NODES[key] = node
+        return node
+
+    def __setattr__(self, *args):
+        raise AttributeError("formulas are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        cls, fields = self.__reduce__()
+        return "%s(%s)" % (cls.__name__, ", ".join(map(repr, fields)))
 
     def __str__(self) -> str:
         return unparse(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Formula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Box(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class Dia(Formula):
-    child: Formula
+    __slots__ = ("child",)
+
+
+# the reserved literals, and the true/false sugar in either operand order
+_RESERVED_LITS = (Var(RESERVED), Neg(Var(RESERVED)))
+_SUGAR = {
+    Or(*_RESERVED_LITS): "true",
+    Or(*reversed(_RESERVED_LITS)): "true",
+    And(*_RESERVED_LITS): "false",
+    And(*reversed(_RESERVED_LITS)): "false",
+}
 
 
 def top() -> Formula:
     """Tautology sugar: _c | !_c."""
-    return Or(Var(RESERVED), Neg(Var(RESERVED)))
+    return Or(*_RESERVED_LITS)
 
 
 def bottom() -> Formula:
     """Contradiction sugar: _c & !_c."""
-    return And(Var(RESERVED), Neg(Var(RESERVED)))
+    return And(*_RESERVED_LITS)
 
 
 def unparse(f: Formula) -> str:
     """Canonical fully parenthesized text form; parse(unparse(f)) == f, up
     to the operand order of the true/false sugar, printed as the keyword."""
-    if isinstance(f, (And, Or)) and _is_sugar(f):
-        return "true" if isinstance(f, Or) else "false"
+    if f in _SUGAR:
+        return _SUGAR[f]
     if isinstance(f, Var):
         return f.name
     if isinstance(f, Neg):
@@ -87,18 +122,6 @@ def _arg(f: Formula) -> str:
     if isinstance(f, (And, Or)):
         return unparse(f)
     return "(" + unparse(f) + ")"
-
-
-def _is_reserved(p: Formula) -> bool:
-    # _c or !_c
-    v = p.child if isinstance(p, Neg) else p
-    return isinstance(v, Var) and v.name == RESERVED
-
-
-def _is_sugar(f: And | Or) -> bool:
-    # _c | !_c or _c & !_c, in either operand order
-    return (_is_reserved(f.left) and _is_reserved(f.right)
-            and isinstance(f.left, Neg) is not isinstance(f.right, Neg))
 
 
 def nnf(f: Formula) -> Formula:
@@ -167,21 +190,6 @@ def metrics(f: Formula) -> Metrics:
             todo.append((g.left, d))  # type: ignore[attr-defined]
             todo.append((g.right, d))  # type: ignore[attr-defined]
     return Metrics(length, depth, frozenset(names))
-
-
-def variables(f: Formula) -> set[str]:
-    out: set[str] = set()
-    todo = [f]
-    while todo:
-        g = todo.pop()
-        if isinstance(g, Var):
-            out.add(g.name)
-        elif isinstance(g, (Neg, Box, Dia)):
-            todo.append(g.child)
-        else:
-            todo.append(g.left)  # type: ignore[attr-defined]
-            todo.append(g.right)  # type: ignore[attr-defined]
-    return out
 
 
 def fold_or(parts, empty=None):

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .formulas import And, Box, Dia, Formula, Neg, Or, Var, fold_and, fold_or, top
+from .formulas import (_SUGAR, And, Box, Dia, Formula, Neg, Or, Var, bottom,
+                       fold_and, fold_or, top)
 
 
 class DefId(Enum):
@@ -160,7 +161,8 @@ class ClauseView4:
 
     gammas/diamonds/boxes keep source order; diamonds and boxes store the
     bodies. parts keeps the deduplicated disjuncts themselves, in source
-    order, so assemble() rebuilds the clause faithfully.
+    order, so assemble() rebuilds the clause faithfully. A clause with no
+    parts assembles to false.
     """
 
     gammas: tuple[Formula, ...]
@@ -169,7 +171,7 @@ class ClauseView4:
     parts: tuple[Formula, ...]
 
     def assemble(self) -> Formula:
-        return fold_or(self.parts)
+        return fold_or(self.parts, bottom())
 
     def __str__(self) -> str:
         return str(self.assemble())
@@ -199,14 +201,18 @@ class TermView4:
 
 def view4(f: Formula, k: SyntacticKind):
     """Structured view of a D4 clause or term; raises GrammarError
-    otherwise. Duplicate disjuncts/conjuncts collapse to the first copy."""
+    otherwise. Duplicate disjuncts/conjuncts collapse to the first copy.
+    The false sugar reads as the empty clause and the true sugar as the
+    empty term, so what assemble() prints reads back."""
     if k not in _VIEWS:
         raise GrammarError("view4 needs kind clause or term, got %s" % k)
-    node, view = _VIEWS[k]
+    node, view, empty = _VIEWS[k]
+    if _SUGAR.get(f) == empty:
+        return view((), (), (), ())
     if not _derives(f, _START[(DefId.D4, k)]):
         raise GrammarError("not a d4 %s: %s" % (k.value, f))
     parts = _dedup(_flatten(f, node))
     return view(*_split4(parts), parts)
 
 
-_VIEWS = {_C: (Or, ClauseView4), _T: (And, TermView4)}
+_VIEWS = {_C: (Or, ClauseView4, "false"), _T: (And, TermView4, "true")}

@@ -26,14 +26,7 @@ from .formulas import (
     fold_or,
     nnf,
 )
-from .grammar import (
-    ClauseView4,
-    DefId,
-    GrammarError,
-    SyntacticKind,
-    is_member,
-    view4,
-)
+from .grammar import ClauseView4, SyntacticKind, view4
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,7 +270,6 @@ def test_implicant(t: Formula, phi: Formula) -> bool:
 
 
 def test_implicant_report(t: Formula, phi: Formula) -> TestOutcome:
-    """Decide whether term t is a prime implicant of phi, by duality."""
-    if not is_member(t, DefId.D4, SyntacticKind.TERM):
-        raise GrammarError("not a term: %s" % t)
+    """Decide whether D4 term t is a prime implicant of phi, by duality."""
+    view4(t, SyntacticKind.TERM)
     return test_pi_report(dual_negate(t), dual_negate(phi))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .formulas import And, Box, Dia, Formula, Neg, Or, Var, metrics, nnf, variables
+from .formulas import And, Box, Dia, Formula, Neg, Or, Var, metrics, nnf
 
 
 class UnknownWorldError(ValueError):
@@ -160,7 +160,7 @@ def _search(g, fuel):
     subs = _subformulas(g)
     idx = {s: i for i, s in enumerate(subs)}
     root = idx[g]
-    names = sorted(variables(g))
+    names = sorted(metrics(g).vars)
     nvals = 1 << len(names)
     valuations = list(itertools.product((False, True), repeat=len(names)))
 

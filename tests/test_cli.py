@@ -55,6 +55,17 @@ def test_true_false_output_parses_back():
         assert equivalent(join([parse(line) for line in lines]), join(old))
 
 
+def test_printed_true_false_read_back_as_clause_and_term():
+    # cnf4 prints the empty clause as false, dnf4 the empty term as true
+    for printer, tester, flag, unit in (("cnf4", "testpi", "--clause", "false"),
+                                        ("dnf4", "testimplicant", "--term", "true")):
+        code, out, _ = run_cli(printer, "-e", unit)
+        assert code == 0 and out
+        for line in out.splitlines():
+            assert run_cli(tester, flag, line, "--formula", unit) == (0, "yes\n", "")
+            assert run_cli(tester, flag, line, "--formula", "a") == (1, "no\n", "")
+
+
 def test_genpi_contradictory_clause():
     code, out, err = run_cli("genpi", "-e", "<>(a & !a)")
     assert (code, out, err) == (0, "<>(a & !a)\n", "")

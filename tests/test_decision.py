@@ -37,6 +37,16 @@ def test_sat_examples():
     assert sat(parse("[]a | <>!a"))
 
 
+def test_diamond_chain_depth():
+    # Every modal level of the sat recursion costs a few frames, the memo
+    # wrapper's included; this depth must pass under the default limit.
+    leaf = Var("chain_leaf")
+    for f, want in ((leaf, True), (And(leaf, Neg(leaf)), False)):
+        for _ in range(230):
+            f = Dia(f)
+        assert sat(f) is want
+
+
 def test_entails_examples():
     lam = parse("!b | <>(a & <>c) | <>(d & []a) | [](c | d)")
     assert entails(lam, parse("!b | !d | <>(a | d) | []c"))

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from kprime import families
 from kprime.decision import entails, equivalent, sat
 from kprime.families import (
     FamilySpec,
@@ -70,7 +71,7 @@ def test_thm18_cap():
         generate(FamilySpec("thm18", n=5))
     with pytest.raises(ValueError):
         generate(FamilySpec("thm18", n=0))
-    f, d = generate(FamilySpec("thm18", n=5), n_cap=5)
+    f, d = families._thm18(5)
     assert len(view4(d[0], SyntacticKind.CLAUSE).boxes) == 32
 
 

@@ -1,5 +1,10 @@
+import copy
+import gc
 import random
 
+import pytest
+
+from kprime import formulas
 from kprime.formulas import (
     And,
     Box,
@@ -15,7 +20,6 @@ from kprime.formulas import (
     nnf,
     top,
     unparse,
-    variables,
 )
 from kprime.parser import parse
 
@@ -29,6 +33,23 @@ def test_structural_equality_and_hash():
     assert And(a, b) != And(b, a)
     assert hash(Box(And(a, b))) == hash(Box(And(a, b)))
     assert len({a, Var("a"), b}) == 2
+    # nodes are interned and immutable
+    assert And(a, b) is And(a, b)
+    assert copy.deepcopy(Box(a)) is Box(a)
+    with pytest.raises(AttributeError):
+        a.name = "b"
+    with pytest.raises(AttributeError):
+        del And(a, b).left
+    with pytest.raises(TypeError):
+        And(a)
+    # the interning table holds its nodes weakly
+    gc.collect()
+    before = len(formulas._NODES)
+    fresh = Dia(Var("fresh_name_for_the_weak_table"))
+    assert len(formulas._NODES) == before + 2
+    del fresh
+    gc.collect()
+    assert len(formulas._NODES) == before
 
 
 def test_length_golden():
@@ -44,7 +65,7 @@ def test_depth_golden():
 
 def test_vars():
     assert metrics(And(a, Or(b, Neg(a)))).vars == frozenset({"a", "b"})
-    assert variables(Box(c)) == {"c"}
+    assert metrics(Box(c)).vars == frozenset({"c"})
 
 
 def test_nnf_golden():

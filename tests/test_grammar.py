@@ -74,6 +74,14 @@ def test_deep_and_wide_input_without_recursion():
     chain = And(a, b)
     for _ in range(n):
         chain = Box(chain)
+    rebuilt = And(Var("a"), Var("b"))
+    for _ in range(n):
+        rebuilt = Box(rebuilt)
+    # interned nodes: equality is identity and hashing walks no subtree
+    assert isinstance(hash(chain), int)
+    assert chain == rebuilt
+    assert chain is rebuilt
+    assert chain in {chain}
     # only the D1 and D3a terms and the D4 kinds admit And under boxes
     chain_members = {(DefId.D1, T), (DefId.D3A, T), (DefId.D4, L), (DefId.D4, C), (DefId.D4, T)}
     wide = fold_or([Var("a%d" % i) for i in range(n)])
