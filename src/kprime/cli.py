@@ -61,37 +61,38 @@ def _one_formula(args) -> Formula:
     return fs[0]
 
 
-def _emit_lines(args, formulas) -> None:
+def _emit_lines(args, formulas) -> int:
     """Print one formula per line as it arrives, or all of them as one JSON list."""
     if args.json:
         print(json.dumps([_show(f, args) for f in formulas]))
     else:
         for f in formulas:
             print(_show(f, args))
+    return 0
+
+
+def _verdict(args, ok, key, words) -> int:
+    """Print a yes/no verdict as one of two words or as {key: ok}."""
+    print(json.dumps({key: ok}) if args.json else words[not ok])
+    return 0 if ok else 1
 
 
 def _cmd_sat(args) -> int:
-    ok = sat(_one_formula(args))
-    print(json.dumps({"sat": ok}) if args.json else ("sat" if ok else "unsat"))
-    return 0 if ok else 1
+    return _verdict(args, sat(_one_formula(args)), "sat", ("sat", "unsat"))
 
 
 def _cmd_entail(args) -> int:
     fs = _formulas(args)
     if len(fs) != 2:
         raise ValueError("expected exactly two formulas, got %d" % len(fs))
-    ok = entails(fs[0], fs[1])
-    print(json.dumps({"entails": ok}) if args.json else ("yes" if ok else "no"))
-    return 0 if ok else 1
+    return _verdict(args, entails(fs[0], fs[1]), "entails", ("yes", "no"))
 
 
 def _cmd_eval(args) -> int:
     f = _one_formula(args)
     with open(args.model, "r", encoding="utf-8") as fh:
         model = parse_model(fh.read())
-    ok = holds(model, args.world, f)
-    print(json.dumps({"holds": ok}) if args.json else ("true" if ok else "false"))
-    return 0 if ok else 1
+    return _verdict(args, holds(model, args.world, f), "holds", ("true", "false"))
 
 
 def _cmd_nnf(args) -> int:
@@ -101,24 +102,19 @@ def _cmd_nnf(args) -> int:
 
 
 def _cmd_dnf4(args) -> int:
-    _emit_lines(args, [t.assemble() for t in dnf4(_one_formula(args))])
-    return 0
+    return _emit_lines(args, [t.assemble() for t in dnf4(_one_formula(args))])
 
 
 def _cmd_cnf4(args) -> int:
-    _emit_lines(args, cnf4(_one_formula(args)))
-    return 0
+    return _emit_lines(args, cnf4(_one_formula(args)))
 
 
 def _cmd_genpi(args) -> int:
-    f = _one_formula(args)
-    _emit_lines(args, iter_pi(f) if args.iter else gen_pi(f))
-    return 0
+    return _emit_lines(args, (iter_pi if args.iter else gen_pi)(_one_formula(args)))
 
 
 def _cmd_implicants(args) -> int:
-    _emit_lines(args, gen_implicants(_one_formula(args)))
-    return 0
+    return _emit_lines(args, gen_implicants(_one_formula(args)))
 
 
 def _report(args, out) -> int:
@@ -152,10 +148,8 @@ def _cmd_testimplicant(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    f = _one_formula(args)
-    ok = is_member(f, DefId(args.definition), SyntacticKind(args.kind))
-    print(json.dumps({"member": ok}) if args.json else ("yes" if ok else "no"))
-    return 0 if ok else 1
+    ok = is_member(_one_formula(args), DefId(args.definition), SyntacticKind(args.kind))
+    return _verdict(args, ok, "member", ("yes", "no"))
 
 
 def _cmd_gen(args) -> int:
@@ -183,110 +177,85 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _add_formula_inputs(sub, two=False):
-    sub.add_argument("-e", "--expr", action="append", metavar="EXPR",
-                     help="inline formula" + (" (repeatable)" if two else ""))
-    sub.add_argument("files", nargs="*", metavar="FILE",
-                     help="file holding one formula")
+def _arg(*flags, **kwargs):
+    """One add_argument call of a command, as data."""
+    return flags, kwargs
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kpi",
-        description="Prime implicates and implicants for the modal logic K.")
-    subs = parser.add_subparsers(dest="command", required=True)
+FILES = _arg("files", nargs="*", metavar="FILE", help="file holding one formula")
+INPUTS = (_arg("-e", "--expr", action="append", metavar="EXPR",
+               help="inline formula"), FILES)
+SIMPLIFY = _arg("--simplify", action="store_true",
+                help="collapse duplicate disjuncts in the output")
+PRINTS = INPUTS + (SIMPLIFY,)
+TRACE = _arg("--trace", action="store_true", help="print the deciding step and witness")
+FORMULA = _arg("--formula", required=True, metavar="EXPR")
 
-    def add(name, func, help_text):
-        sub = subs.add_parser(name, help=help_text)
-        sub.set_defaults(func=func)
-        sub.add_argument("--json", action="store_true",
-                         help="machine-readable output")
-        return sub
+# command -> (handler, one-line help, arguments after --json)
+COMMANDS = {
+    "sat": (_cmd_sat, "decide satisfiability", INPUTS),
+    "entail": (_cmd_entail, "decide entailment between two formulas", (
+        _arg("-e", "--expr", action="append", metavar="EXPR",
+             help="inline formula (repeatable)"), FILES)),
+    "eval": (_cmd_eval, "evaluate a formula at a world of a model", INPUTS + (
+        _arg("--model", required=True, metavar="FILE", help="model fixture file"),
+        _arg("--world", required=True, metavar="NAME", help="world to evaluate at"))),
+    "nnf": (_cmd_nnf, "print the negation normal form", PRINTS),
+    "dnf4": (_cmd_dnf4, "print the disjunctive terms, one per line", PRINTS),
+    "cnf4": (_cmd_cnf4, "print the conjunctive clauses, one per line", PRINTS),
+    "genpi": (_cmd_genpi, "print the prime implicates, one per line", INPUTS + (
+        _arg("--iter", action="store_true",
+             help="print each implicate as soon as it is found"), SIMPLIFY)),
+    "implicants": (_cmd_implicants, "print the prime implicants, one per line", PRINTS),
+    "testpi": (_cmd_testpi, "decide whether a clause is a prime implicate",
+               (_arg("--clause", required=True, metavar="EXPR"), FORMULA, TRACE)),
+    "testimplicant": (_cmd_testimplicant, "decide whether a term is a prime implicant",
+                      (_arg("--term", required=True, metavar="EXPR"), FORMULA, TRACE)),
+    "classify": (_cmd_classify, "check membership in a clause/term grammar", INPUTS + (
+        _arg("--def", dest="definition", required=True,
+             choices=[d.value for d in DefId]),
+        _arg("--kind", required=True, choices=[k.value for k in SyntacticKind]))),
+    "gen": (_cmd_gen, "emit a formula family instance", (
+        _arg("--family", required=True,
+             choices=["thm11", "thm18", "thm19", "thm21", "random", "qbf"]),
+        _arg("--n", type=int, default=1,
+             help="family index (variable count for random)"),
+        _arg("--k", type=int, default=1, help="chain depth for thm11"),
+        _arg("--seed", type=int, default=0, help="seed for random"),
+        _arg("--file", metavar="FILE", help="QBF instance file"), SIMPLIFY)),
+}
 
-    sub = add("sat", _cmd_sat, "decide satisfiability")
-    _add_formula_inputs(sub)
 
-    sub = add("entail", _cmd_entail, "decide entailment between two formulas")
-    _add_formula_inputs(sub, two=True)
+class _CommandParser:
+    """A command's entry in the `kpi` parser. Argparse hands it the
+    arguments after the command name, and only then is that command's
+    parser built: a run builds two parsers, not one per command."""
 
-    sub = add("eval", _cmd_eval, "evaluate a formula at a world of a model")
-    _add_formula_inputs(sub)
-    sub.add_argument("--model", required=True, metavar="FILE",
-                     help="model fixture file")
-    sub.add_argument("--world", required=True, metavar="NAME",
-                     help="world to evaluate at")
+    def __init__(self, command, **_):
+        self.command = command
 
-    sub = add("nnf", _cmd_nnf, "print the negation normal form")
-    _add_formula_inputs(sub)
-    sub.add_argument("--simplify", action="store_true",
-                     help="collapse duplicate disjuncts in the output")
-
-    sub = add("dnf4", _cmd_dnf4, "print the disjunctive terms, one per line")
-    _add_formula_inputs(sub)
-    sub.add_argument("--simplify", action="store_true",
-                     help="collapse duplicate disjuncts in the output")
-
-    sub = add("cnf4", _cmd_cnf4, "print the conjunctive clauses, one per line")
-    _add_formula_inputs(sub)
-    sub.add_argument("--simplify", action="store_true",
-                     help="collapse duplicate disjuncts in the output")
-
-    sub = add("genpi", _cmd_genpi, "print the prime implicates, one per line")
-    _add_formula_inputs(sub)
-    sub.add_argument("--iter", action="store_true",
-                     help="print each implicate as soon as it is found")
-    sub.add_argument("--simplify", action="store_true",
-                     help="collapse duplicate disjuncts in the output")
-
-    sub = add("implicants", _cmd_implicants,
-              "print the prime implicants, one per line")
-    _add_formula_inputs(sub)
-    sub.add_argument("--simplify", action="store_true",
-                     help="collapse duplicate disjuncts in the output")
-
-    sub = add("testpi", _cmd_testpi, "decide whether a clause is a prime implicate")
-    sub.add_argument("--clause", required=True, metavar="EXPR")
-    sub.add_argument("--formula", required=True, metavar="EXPR")
-    sub.add_argument("--trace", action="store_true",
-                     help="print the deciding step and witness")
-
-    sub = add("testimplicant", _cmd_testimplicant,
-              "decide whether a term is a prime implicant")
-    sub.add_argument("--term", required=True, metavar="EXPR")
-    sub.add_argument("--formula", required=True, metavar="EXPR")
-    sub.add_argument("--trace", action="store_true",
-                     help="print the deciding step and witness")
-
-    sub = add("classify", _cmd_classify,
-              "check membership in a clause/term grammar")
-    _add_formula_inputs(sub)
-    sub.add_argument("--def", dest="definition", required=True,
-                     choices=[d.value for d in DefId])
-    sub.add_argument("--kind", required=True,
-                     choices=[k.value for k in SyntacticKind])
-
-    sub = add("gen", _cmd_gen, "emit a formula family instance")
-    sub.add_argument("--family", required=True,
-                     choices=["thm11", "thm18", "thm19", "thm21", "random", "qbf"])
-    sub.add_argument("--n", type=int, default=1,
-                     help="family index (variable count for random)")
-    sub.add_argument("--k", type=int, default=1, help="chain depth for thm11")
-    sub.add_argument("--seed", type=int, default=0, help="seed for random")
-    sub.add_argument("--file", metavar="FILE", help="QBF instance file")
-    sub.add_argument("--simplify", action="store_true",
-                     help="collapse duplicate disjuncts in the output")
-
-    return parser
+    def parse_known_args(self, args, namespace):
+        parser = argparse.ArgumentParser(prog="kpi " + self.command)
+        parser.add_argument("--json", action="store_true", help="machine-readable output")
+        for flags, kwargs in COMMANDS[self.command][2]:
+            parser.add_argument(*flags, **kwargs)
+        return parser.parse_known_args(args, namespace)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = argparse.ArgumentParser(
+        prog="kpi",
+        description="Prime implicates and implicants for the modal logic K.")
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=_CommandParser)
+    for name, (_, help_text, _) in COMMANDS.items():
+        subs.add_parser(name, help=help_text, command=name)
     try:
         args = parser.parse_args(argv)
     except SystemExit as stop:
         return stop.code if isinstance(stop.code, int) else 2
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except (ValueError, OSError, RuntimeError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -13,6 +14,8 @@ from helpers import random_formula, run_cli
 
 PHI = "a & (([](b & c)) | ([](e | f))) & (<>(a & b))"
 EX15 = "a & (((<>(b & c)) & (<>b)) | ((<>b) & (<>(c | d)) & ([]e) & ([]f)))"
+COMMANDS = ("sat", "entail", "eval", "nnf", "dnf4", "cnf4", "genpi", "implicants",
+            "testpi", "testimplicant", "classify", "gen")
 
 
 def test_entail_verdicts():
@@ -244,6 +247,33 @@ def test_usage_and_parse_errors():
     assert run_cli("sat")[0] == 2
     assert run_cli("frobnicate")[0] == 2
     assert run_cli("sat", "-e", "a", "-e", "b")[0] == 2
+    assert run_cli()[0] == 2
+    assert run_cli("sat", "--bogus")[0] == 2
+    assert run_cli("genpi", "--iter", "-e", "a") == (0, "a\n", "")
+    code, out, _ = run_cli("--help")
+    assert code == 0
+    for command in COMMANDS:
+        assert "\n    %s " % command in out
+        code, out_cmd, _ = run_cli(command, "--help")
+        assert code == 0
+        assert out_cmd.startswith("usage: kpi %s " % command)
+
+
+def test_main_builds_at_most_two_parsers(monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["sat", "-e", "a"],
+                 ["testpi", "--clause", "a", "--formula", "a & b"],
+                 ["gen", "--family", "thm18"]):
+        built.clear()
+        assert run_cli(*argv)[0] == 0
+        assert len(built) <= 2, (argv, built)
 
 
 def test_examples_script():
