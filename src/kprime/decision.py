@@ -2,7 +2,12 @@
 
 sat works on the negation normal form: surface disjunctive branches (box
 and diamond subformulas read as atoms) are streamed one at a time, never
-materialized as a whole, and each propositionally consistent branch
+materialized as a whole.  One loop walks the formula depth first, with no
+recursion: the rest of the walk is a linked (head, tail) pair, the current
+branch is an insertion-ordered dict of its literals, and each disjunction
+pushes a choice point (its right side with that rest, and the branch
+length) on an undo stack; backtracking pops literals back to that length.
+Each propositionally consistent branch
 gamma & <>psi_1 & ... & []chi_1 & ... & []chi_n is satisfiable iff every
 psi_i & chi_1 & ... & chi_n is, one modal level down.  Verdicts of the
 modal recursion are memoized across calls in a bounded LRU cache; its keys
@@ -37,52 +42,42 @@ def surface_branches(g: Formula):
     surface literals (variables, negated variables, boxes, diamonds) in
     source order. Propositionally clashing branches are pruned; duplicate
     literals collapse to their first occurrence."""
-    parts: list[Formula] = []
-    seen: set[Formula] = set()
+    branch: dict[Formula, str | None] = {}  # literal -> its variable name
     sign: dict[str, bool] = {}
-
-    def walk(todo):
-        if not todo:
-            yield tuple(parts)
-            return
-        h = todo[0]
-        rest = todo[1:]
-        if isinstance(h, And):
-            yield from walk((h.left, h.right) + rest)
-            return
-        if isinstance(h, Or):
-            yield from walk((h.left,) + rest)
-            yield from walk((h.right,) + rest)
-            return
-        name = None
-        if isinstance(h, Var):
-            name, value = h.name, True
-        elif isinstance(h, Neg):
-            if not isinstance(h.child, Var):
+    choices = []  # (rest of the walk at an Or's right side, branch length)
+    todo = (g, None)
+    while True:
+        while todo is not None:
+            h, todo = todo
+            if isinstance(h, And):
+                todo = (h.left, (h.right, todo))
+                continue
+            if isinstance(h, Or):
+                choices.append(((h.right, todo), len(branch)))
+                todo = (h.left, todo)
+                continue
+            if isinstance(h, Var):
+                name, value = h.name, True
+            elif isinstance(h, Neg) and isinstance(h.child, Var):
+                name, value = h.child.name, False
+            elif isinstance(h, (Box, Dia)):
+                name = None
+            else:
                 raise ValueError("surface_branches needs NNF input")
-            name, value = h.child.name, False
-        elif not isinstance(h, (Box, Dia)):
-            raise ValueError("surface_branches needs NNF input")
-        if name is not None:
-            prev = sign.get(name)
-            if prev is not None and prev is not value:
-                return
-        if h in seen:
-            yield from walk(rest)
+            # a name bound to the other sign is a clash, which prunes the
+            # branch; one bound to this sign means the literal is in branch
+            if name is not None and sign.setdefault(name, value) is not value:
+                break
+            branch.setdefault(h, name)
+        else:
+            yield tuple(branch)
+        if not choices:
             return
-        parts.append(h)
-        seen.add(h)
-        if name is not None:
-            sign[name] = value
-        try:
-            yield from walk(rest)
-        finally:
-            parts.pop()
-            seen.remove(h)
+        todo, size = choices.pop()
+        while len(branch) > size:
+            name = branch.popitem()[1]
             if name is not None:
                 del sign[name]
-
-    yield from walk((g,))
 
 
 # per-call dedup of revisited branch assignments, capped to bound memory

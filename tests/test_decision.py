@@ -77,6 +77,91 @@ def test_surface_branches_order_and_pruning():
 def test_surface_branches_rejects_non_nnf():
     with pytest.raises(ValueError):
         list(surface_branches(Neg(And(a, b))))
+    # the error is raised only when the walk reaches the node
+    walk = surface_branches(Or(a, Neg(And(a, b))))
+    assert next(walk) == (a,)
+    with pytest.raises(ValueError):
+        next(walk)
+
+
+def reference_surface_branches(g):
+    """surface_branches as a recursive generator, the reference for its
+    stream."""
+    parts = []
+    seen = set()
+    sign = {}
+
+    def walk(todo):
+        if not todo:
+            yield tuple(parts)
+            return
+        h = todo[0]
+        rest = todo[1:]
+        if isinstance(h, And):
+            yield from walk((h.left, h.right) + rest)
+            return
+        if isinstance(h, Or):
+            yield from walk((h.left,) + rest)
+            yield from walk((h.right,) + rest)
+            return
+        name = None
+        if isinstance(h, Var):
+            name, value = h.name, True
+        elif isinstance(h, Neg):
+            if not isinstance(h.child, Var):
+                raise ValueError("surface_branches needs NNF input")
+            name, value = h.child.name, False
+        elif not isinstance(h, (Box, Dia)):
+            raise ValueError("surface_branches needs NNF input")
+        if name is not None:
+            prev = sign.get(name)
+            if prev is not None and prev is not value:
+                return
+        if h in seen:
+            yield from walk(rest)
+            return
+        parts.append(h)
+        seen.add(h)
+        if name is not None:
+            sign[name] = value
+        try:
+            yield from walk(rest)
+        finally:
+            parts.pop()
+            seen.remove(h)
+            if name is not None:
+                del sign[name]
+
+    yield from walk((g,))
+
+
+def branch_stream(walker, g):
+    """Every branch walker yields for g, then ValueError if it raises one."""
+    out = []
+    try:
+        for branch in walker(g):
+            out.append(branch)
+    except ValueError:
+        out.append(ValueError)
+    return out
+
+
+def test_surface_branches_match_reference():
+    fixtures = [
+        nnf(parse("a & ((<>(b & c) & <>b) | (<>b & <>(c | d) & []e & []f))")),
+        nnf(parse("a & !a")),
+        nnf(parse("a & (a | b)")),
+        Neg(And(a, b)),
+        Or(a, Neg(And(a, b))),
+    ]
+    rng = random.Random(8)
+    # two or three names make clashes and duplicate literals common
+    for _ in range(300):
+        fixtures.append(random_nnf(rng, ["a", "b", "c"][: rng.randint(2, 3)], rng.randint(0, 2), 60))
+    # not in NNF: the error must come after the same branches
+    fixtures += [random_formula(rng, ["a", "b"], rng.randint(0, 2), 30) for _ in range(100)]
+    for g in fixtures:
+        assert branch_stream(surface_branches, g) == branch_stream(reference_surface_branches, g)
 
 
 def test_clause_fast_examples():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from kprime.decision import equivalent
+from kprime.decision import _sat_nnf, equivalent, surface_branches
 from kprime.formulas import (
     And,
     Box,
@@ -94,6 +94,14 @@ def test_deep_and_wide_input_without_recursion():
         assert got == members
         assert is_nnf(f)
         assert metrics(f) == want
+    # the surface walk and the sat core: one branch per disjunct, in
+    # order, and one branch for a conjunction of distinct literals
+    lits = [Neg(Var("a%d" % i)) if i % 2 else Var("a%d" % i) for i in range(n)]
+    conj = fold_and(lits)
+    walked = (list(surface_branches(wide)), list(surface_branches(conj)))
+    ok = walked == ([(Var("a%d" % i),) for i in range(n)], [tuple(lits)])
+    assert ok
+    assert _sat_nnf(wide) and _sat_nnf(conj)
 
 
 def random_d5(rng, names, depth, kind):
