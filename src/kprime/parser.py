@@ -1,6 +1,6 @@
-"""Tokenizer and recursive-descent parser for the formula text syntax.
+"""Tokenizer and parser for the formula text syntax.
 
-Grammar (whitespace insensitive):
+Grammar (whitespace insensitive), the specification that parse implements:
 
     formula := or ( "->" formula )?      right assoc, a -> b desugars to !a | b
     or      := and ( "|" and )*          right folded
@@ -8,14 +8,17 @@ Grammar (whitespace insensitive):
     unary   := ("!" | "[]" | "<>") unary | atom
     atom    := IDENT | "true" | "false" | "(" formula ")"
     IDENT   := [a-z_][a-zA-Z0-9_]*       except the reserved `_c`
+
+parse reads the tokens in one loop and keeps what still waits for its
+right operand on an explicit stack, so deep nesting needs no recursion.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NoReturn
 
-from .formulas import (Box, Dia, Formula, Neg, Or, RESERVED, Var, bottom,
-                       fold_and, fold_or, top)
+from .formulas import And, Box, Dia, Formula, Neg, Or, RESERVED, Var, bottom, top
 
 
 class ParseError(ValueError):
@@ -73,90 +76,59 @@ def _byte_offset(text: str, charpos: int) -> int:
     return len(text[:charpos].encode("utf-8"))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.i = 0
+def _implies(left: Formula, right: Formula) -> Formula:
+    return Or(Neg(left), right)
 
-    def peek(self):
-        return self.toks[self.i]
 
-    def advance(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+# strength and builder of each binary operator; all three group to the
+# right, and a prefix operator binds tighter than any of them
+_BINARY = {"->": (1, _implies), "|": (2, Or), "&": (3, And)}
+_PREFIX = 4
+_OPERAND = ("identifier", "true", "false", "!", "[]", "<>", "(")
 
-    def fail(self, expected):
-        kind, value, charpos = self.peek()
-        what = "end of input" if kind == "eof" else repr(value)
-        raise ParseError(
-            "unexpected %s" % what,
-            _byte_offset(self.text, charpos),
-            expected=expected,
-        )
 
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "->":
-            self.advance()
-            right = self.formula()
-            return Or(Neg(left), right)
-        return left
-
-    def disjunction(self) -> Formula:
-        parts = [self.conjunction()]
-        while self.peek()[:2] == ("op", "|"):
-            self.advance()
-            parts.append(self.conjunction())
-        return fold_or(parts)
-
-    def conjunction(self) -> Formula:
-        parts = [self.unary()]
-        while self.peek()[:2] == ("op", "&"):
-            self.advance()
-            parts.append(self.unary())
-        return fold_and(parts)
-
-    def unary(self) -> Formula:
-        kind, value, _ = self.peek()
-        if kind == "op" and value in _UNARY:
-            self.advance()
-            return _UNARY[value](self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, charpos = self.peek()
-        if kind == "ident":
-            self.advance()
-            if value == "true":
-                return top()
-            if value == "false":
-                return bottom()
-            if value == RESERVED:
-                raise ReservedNameError(
-                    "variable name %r is reserved" % RESERVED,
-                    _byte_offset(self.text, charpos),
-                )
-            return Var(value)
-        if kind == "op" and value == "(":
-            self.advance()
-            f = self.formula()
-            if self.peek()[:2] != ("op", ")"):
-                self.fail(expected=(")",))
-            self.advance()
-            return f
-        self.fail(expected=("identifier", "true", "false", "!", "[]", "<>", "("))
-        raise AssertionError("unreachable")
-
-    def parse(self) -> Formula:
-        f = self.formula()
-        if self.peek()[0] != "eof":
-            self.fail(expected=("&", "|", "->", "end of input"))
-        return f
+def _fail(text: str, token, expected) -> NoReturn:
+    kind, value, charpos = token
+    what = "end of input" if kind == "eof" else repr(value)
+    raise ParseError("unexpected %s" % what, _byte_offset(text, charpos), expected)
 
 
 def parse(text: str) -> Formula:
     """Parse a formula; raises ParseError with a byte offset on bad input."""
-    return _Parser(text).parse()
+    # (strength, builder, left operand) of each open parenthesis (strength
+    # 0, no builder), prefix operator (no left operand) and binary operator
+    # that still waits for its right operand
+    ops = []
+    f = None  # the operand just completed; None while one is expected
+    for token in _tokenize(text):
+        kind, value, charpos = token
+        if f is None:
+            if kind == "ident":
+                if value == RESERVED:
+                    raise ReservedNameError(
+                        "variable name %r is reserved" % RESERVED,
+                        _byte_offset(text, charpos),
+                    )
+                f = top() if value == "true" else bottom() if value == "false" else Var(value)
+            elif value == "(":
+                ops.append((0, None, None))
+            elif value in _UNARY:
+                ops.append((_PREFIX, _UNARY[value], None))
+            else:
+                _fail(text, token, _OPERAND)
+            continue
+        # build what binds tighter than the next token; ")", the end of
+        # input and a misplaced token bind loosest of all, so after them
+        # ops is empty or ends in an open parenthesis
+        strength, build = _BINARY.get(value, (0, None))
+        while ops and ops[-1][0] > strength:
+            _, make, left = ops.pop()
+            f = make(f) if left is None else make(left, f)
+        if build is not None:
+            ops.append((strength, build, f))
+            f = None
+        elif value == ")" and ops:
+            ops.pop()
+        elif ops or kind != "eof":
+            _fail(text, token, ("&", "|", "->", ")" if ops else "end of input"))
+    return f

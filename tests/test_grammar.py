@@ -29,7 +29,7 @@ from kprime.grammar import (
 )
 from kprime.parser import parse
 
-from helpers import random_formula
+from helpers import random_formula, run_cli
 
 a, b = Var("a"), Var("b")
 L, C, T = SyntacticKind.LITERAL, SyntacticKind.CLAUSE, SyntacticKind.TERM
@@ -102,6 +102,27 @@ def test_deep_and_wide_input_without_recursion():
     ok = walked == ([(Var("a%d" % i),) for i in range(n)], [tuple(lits)])
     assert ok
     assert _sat_nnf(wide) and _sat_nnf(conj)
+    # the parser: prefix chains, nested parentheses, a long right-grouped
+    # arrow chain, and wide disjunctions and conjunctions
+    names = ["a%d" % i for i in range(n)]
+    arrows = Var(names[-1])
+    for name in reversed(names[:-1]):
+        arrows = Or(Neg(Var(name)), arrows)
+    boxes, negs, dias = Var("a"), Var("a"), Var("a")
+    for _ in range(n):
+        boxes, negs, dias = Box(boxes), Neg(negs), Dia(dias)
+    for text, want in (
+        ("[]" * n + "a", boxes),
+        ("!" * n + "a", negs),
+        ("<>" * n + "a", dias),
+        ("(" * n + "a" + ")" * n, Var("a")),
+        (" -> ".join(names), arrows),
+        (" | ".join(names), wide),
+        (" & ".join(names), fold_and([Var(name) for name in names])),
+    ):
+        ok = parse(text) is want
+        assert ok
+    assert run_cli("classify", "--def", "d4", "--kind", "clause", "-e", "[]" * n + "a") == (0, "yes\n", "")
 
 
 def random_d5(rng, names, depth, kind):

@@ -1,7 +1,13 @@
+import random
+
 import pytest
 
-from kprime.formulas import And, Box, Dia, Neg, Or, Var, bottom, top
-from kprime.parser import ParseError, ReservedNameError, parse
+from kprime.formulas import (And, Box, Dia, Neg, Or, RESERVED, Var, bottom,
+                             fold_and, fold_or, top, unparse)
+from kprime.parser import (ParseError, ReservedNameError, _byte_offset,
+                           _tokenize, parse)
+
+from helpers import random_formula
 
 a, b, c = Var("a"), Var("b"), Var("c")
 
@@ -55,13 +61,28 @@ def test_error_offset():
     with pytest.raises(ParseError) as exc:
         parse("a &")
     assert exc.value.offset == 3
-    assert exc.value.expected
+    assert exc.value.expected == ("identifier", "true", "false", "!", "[]", "<>", "(")
 
 
 def test_error_unbalanced():
     with pytest.raises(ParseError) as exc:
         parse("(a | b")
     assert exc.value.offset == 6
+
+
+@pytest.mark.parametrize("text, message, expected", [
+    # after a complete operand inside parentheses a binary operator is as
+    # valid as the closing parenthesis
+    ("(a b", "unexpected 'b' at offset 3", ("&", "|", "->", ")")),
+    ("(a | b", "unexpected end of input at offset 6", ("&", "|", "->", ")")),
+    ("(a -> b", "unexpected end of input at offset 7", ("&", "|", "->", ")")),
+    ("a b", "unexpected 'b' at offset 2", ("&", "|", "->", "end of input")),
+])
+def test_error_expected_after_operand(text, message, expected):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+    assert exc.value.expected == expected
 
 
 def test_error_garbage_char():
@@ -84,3 +105,141 @@ def test_reserved_name():
         parse("a & !_c")
     # other underscore names are fine
     assert parse("_x") == Var("_x")
+
+
+_UNARY = {"!": Neg, "[]": Box, "<>": Dia}
+
+
+class _ReferenceParser:
+    """The recursive-descent parser that parse replaced, the reference for
+    its outcomes; only the expected set after a complete operand inside
+    parentheses is the corrected one."""
+
+    def __init__(self, text):
+        self.text = text
+        self.toks = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def advance(self):
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def fail(self, expected):
+        kind, value, charpos = self.peek()
+        what = "end of input" if kind == "eof" else repr(value)
+        raise ParseError(
+            "unexpected %s" % what,
+            _byte_offset(self.text, charpos),
+            expected=expected,
+        )
+
+    def formula(self):
+        left = self.disjunction()
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "->":
+            self.advance()
+            right = self.formula()
+            return Or(Neg(left), right)
+        return left
+
+    def disjunction(self):
+        parts = [self.conjunction()]
+        while self.peek()[:2] == ("op", "|"):
+            self.advance()
+            parts.append(self.conjunction())
+        return fold_or(parts)
+
+    def conjunction(self):
+        parts = [self.unary()]
+        while self.peek()[:2] == ("op", "&"):
+            self.advance()
+            parts.append(self.unary())
+        return fold_and(parts)
+
+    def unary(self):
+        kind, value, _ = self.peek()
+        if kind == "op" and value in _UNARY:
+            self.advance()
+            return _UNARY[value](self.unary())
+        return self.atom()
+
+    def atom(self):
+        kind, value, charpos = self.peek()
+        if kind == "ident":
+            self.advance()
+            if value == "true":
+                return top()
+            if value == "false":
+                return bottom()
+            if value == RESERVED:
+                raise ReservedNameError(
+                    "variable name %r is reserved" % RESERVED,
+                    _byte_offset(self.text, charpos),
+                )
+            return Var(value)
+        if kind == "op" and value == "(":
+            self.advance()
+            f = self.formula()
+            if self.peek()[:2] != ("op", ")"):
+                self.fail(expected=("&", "|", "->", ")"))
+            self.advance()
+            return f
+        self.fail(expected=("identifier", "true", "false", "!", "[]", "<>", "("))
+        raise AssertionError("unreachable")
+
+    def parse(self):
+        f = self.formula()
+        if self.peek()[0] != "eof":
+            self.fail(expected=("&", "|", "->", "end of input"))
+        return f
+
+
+def outcome(parse_fn, text):
+    """The node parse_fn returns, or the class, text, offset and expected
+    set of the error it raises."""
+    try:
+        return parse_fn(text)
+    except ParseError as exc:
+        return (type(exc), str(exc), exc.offset, exc.expected)
+
+
+_TOKENS = ["a", "b", "q1", "true", "false", RESERVED, "!", "[]", "<>", "&",
+           "|", "->", "(", ")", "\u00e9"]
+
+
+def drop_parentheses(rng, text):
+    """text with each matched pair of parentheses dropped at random, so
+    precedence and grouping decide the result."""
+    out = list(text)
+    opened = []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            opened.append(i)
+        elif ch == ")":
+            j = opened.pop()
+            if rng.random() < 0.5:
+                out[i] = out[j] = ""
+    return "".join(out)
+
+
+def test_parse_matches_reference():
+    rng = random.Random(9)
+    texts = [unparse(random_formula(rng, ["a", "b", "c"], rng.randint(0, 3), rng.randint(1, 40)))
+             for _ in range(1500)]
+    texts += [drop_parentheses(rng, text) for text in texts]
+    # token strings: mostly syntax errors, at every position and nesting
+    texts += ["".join(rng.choice(_TOKENS) + rng.choice(("", " ", "\t\n"))
+                      for _ in range(rng.randint(0, 12)))
+              for _ in range(6000)]
+    parsed = 0
+    for text in texts:
+        got = outcome(parse, text)
+        want = outcome(lambda t: _ReferenceParser(t).parse(), text)
+        assert got is want or (type(got) is tuple and got == want), text
+        parsed += type(got) is not tuple
+    # both kinds of outcome are well represented
+    assert 3000 < parsed < len(texts) - 3000
