@@ -32,7 +32,6 @@ from .formulas import (
     fold_and,
     fold_or,
     nnf,
-    top,
 )
 from .grammar import ClauseView4
 
@@ -123,7 +122,7 @@ def equivalent(f: Formula, g: Formula) -> bool:
 
 
 def is_tautology(f: Formula) -> bool:
-    return entails(top(), f)
+    return not _sat_nnf(dual_negate(f))
 
 
 def clause_entails_fast(l: ClauseView4, r: ClauseView4) -> bool:

@@ -124,43 +124,42 @@ def _arg(f: Formula) -> str:
     return "(" + unparse(f) + ")"
 
 
+# the dual of each binary and modal connective, for a negated operand
+_DUAL = {And: Or, Or: And, Box: Dia, Dia: Box}
+
+
 def nnf(f: Formula) -> Formula:
     """Negation normal form: negation only directly above variables."""
-    if isinstance(f, Var):
-        return f
-    if isinstance(f, Neg):
-        return _nnf_neg(f.child)
-    if isinstance(f, And):
-        return And(nnf(f.left), nnf(f.right))
-    if isinstance(f, Or):
-        return Or(nnf(f.left), nnf(f.right))
-    if isinstance(f, Box):
-        return Box(nnf(f.child))
-    if isinstance(f, Dia):
-        return Dia(nnf(f.child))
-    raise TypeError("not a formula: %r" % (f,))
-
-
-def _nnf_neg(f: Formula) -> Formula:
-    # NNF of the negation of f
-    if isinstance(f, Var):
-        return Neg(f)
-    if isinstance(f, Neg):
-        return nnf(f.child)
-    if isinstance(f, And):
-        return Or(_nnf_neg(f.left), _nnf_neg(f.right))
-    if isinstance(f, Or):
-        return And(_nnf_neg(f.left), _nnf_neg(f.right))
-    if isinstance(f, Box):
-        return Dia(_nnf_neg(f.child))
-    if isinstance(f, Dia):
-        return Box(_nnf_neg(f.child))
-    raise TypeError("not a formula: %r" % (f,))
+    return _nnf(f, False)
 
 
 def dual_negate(f: Formula) -> Formula:
     """nnf(!f); maps clauses to terms and back when f is already in NNF."""
-    return _nnf_neg(f)
+    return _nnf(f, True)
+
+
+def _nnf(f: Formula, negated: bool) -> Formula:
+    # NNF of f, or of !f when negated; at positive polarity a node whose
+    # operands come back unchanged is returned as it is, so an NNF input
+    # builds no node
+    cls = type(f)
+    if cls is And or cls is Or:
+        left, right = _nnf(f.left, negated), _nnf(f.right, negated)
+        if negated:
+            return _DUAL[cls](left, right)
+        return f if left is f.left and right is f.right else cls(left, right)
+    if cls is Box or cls is Dia:
+        child = _nnf(f.child, negated)
+        if negated:
+            return _DUAL[cls](child)
+        return f if child is f.child else cls(child)
+    if cls is Var:
+        return Neg(f) if negated else f
+    if cls is Neg:
+        if not negated and type(f.child) is Var:
+            return f
+        return _nnf(f.child, not negated)
+    raise TypeError("not a formula: %r" % (f,))
 
 
 @dataclass(frozen=True)

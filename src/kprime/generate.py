@@ -24,10 +24,9 @@ from itertools import chain, product
 from math import prod
 from typing import Iterator
 
-from .decision import _clause_entails, is_tautology, sat
+from .decision import entails, is_tautology, sat
 from .dnf import _delta_entries, dnf4
 from .formulas import And, Dia, Formula, Neg, Or, Var, dual_negate, fold_or, metrics
-from .grammar import SyntacticKind, view4
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +63,6 @@ def iter_pi(f: Formula) -> Iterator[Formula]:
     bit: dict[Formula, int] = {}
     for e in chain.from_iterable(deltas):
         bit.setdefault(e, 1 << len(bit))
-    entries = [(b, view4(e, SyntacticKind.CLAUSE)) for e, b in bit.items()]
     picks = list(product(*deltas))
     own = [sum({bit[e] for e in ps}) for ps in picks]
     strides = [prod(len(d) for d in deltas[t + 1:]) for t in range(len(deltas))]
@@ -72,10 +70,10 @@ def iter_pi(f: Formula) -> Iterator[Formula]:
     @cache
     def entailers(i: int) -> int:
         # the entries that entail the non-tautological candidate i: its own
-        # disjuncts, and every other entry the clause check accepts
-        r = view4(fold_or(picks[i]), SyntacticKind.CLAUSE)
-        return own[i] | sum(b for b, e in entries
-                            if not b & own[i] and _clause_entails(e, r))
+        # disjuncts, and every other entry that entails it
+        c = fold_or(picks[i])
+        return own[i] | sum(b for e, b in bit.items()
+                            if not b & own[i] and entails(e, c))
 
     for i, ps in enumerate(picks):
         c = fold_or(ps)

@@ -26,7 +26,7 @@ from .formulas import (
     fold_or,
     nnf,
 )
-from .grammar import ClauseView4, SyntacticKind, view4
+from .grammar import ClauseView4, SyntacticKind, _flatten, view4
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,16 +48,9 @@ class TestOutcome:
 
 def witness_universe(f: Formula) -> WitnessUniverse:
     """Bodies of modal literals outside any modal scope in nnf(f)."""
-    seen: dict[Formula, None] = {}
-    todo = [nnf(f)]
-    while todo:
-        g = todo.pop()
-        if isinstance(g, (And, Or)):
-            todo.append(g.right)
-            todo.append(g.left)
-        elif isinstance(g, (Box, Dia)):
-            seen.setdefault(g.child, None)
-    return WitnessUniverse(tuple(seen))
+    surface = _flatten(nnf(f), (And, Or))
+    return WitnessUniverse(tuple(dict.fromkeys(
+        g.child for g in surface if isinstance(g, (Box, Dia)))))
 
 
 def normalize_clause(l: ClauseView4) -> ClauseView4:

@@ -6,9 +6,11 @@ import pytest
 
 from kprime import formulas
 from kprime.formulas import (
+    RESERVED,
     And,
     Box,
     Dia,
+    Formula,
     Neg,
     Or,
     Var,
@@ -106,6 +108,92 @@ def test_nnf_metric_bounds():
         assert mg.length <= 2 * mf.length
         assert mg.depth == mf.depth
         assert mg.vars == mf.vars
+
+
+def _ref_nnf(f):
+    # reference: nnf and dual_negate as two mirror-image six-way dispatches
+    if isinstance(f, Var):
+        return f
+    if isinstance(f, Neg):
+        return _ref_dual(f.child)
+    if isinstance(f, And):
+        return And(_ref_nnf(f.left), _ref_nnf(f.right))
+    if isinstance(f, Or):
+        return Or(_ref_nnf(f.left), _ref_nnf(f.right))
+    if isinstance(f, Box):
+        return Box(_ref_nnf(f.child))
+    if isinstance(f, Dia):
+        return Dia(_ref_nnf(f.child))
+    raise TypeError("not a formula: %r" % (f,))
+
+
+def _ref_dual(f):
+    if isinstance(f, Var):
+        return Neg(f)
+    if isinstance(f, Neg):
+        return _ref_nnf(f.child)
+    if isinstance(f, And):
+        return Or(_ref_dual(f.left), _ref_dual(f.right))
+    if isinstance(f, Or):
+        return And(_ref_dual(f.left), _ref_dual(f.right))
+    if isinstance(f, Box):
+        return Dia(_ref_dual(f.child))
+    if isinstance(f, Dia):
+        return Box(_ref_dual(f.child))
+    raise TypeError("not a formula: %r" % (f,))
+
+
+def _with_sugar(rng, f):
+    # f combined, in one of four ways, with the true/false sugar in either
+    # operand order
+    r = Var(RESERVED)
+    sugar = rng.choice([top(), bottom(), Or(Neg(r), r), And(Neg(r), r)])
+    wrap = rng.choice([
+        lambda g: And(g, sugar), lambda g: Or(sugar, g),
+        lambda g: Box(Or(g, Dia(sugar))), lambda g: Neg(And(sugar, g))])
+    return wrap(f)
+
+
+def test_nnf_matches_reference():
+    rng = random.Random(11)
+    inputs = [top(), bottom(), Neg(top()), Box(bottom())]
+    for _ in range(600):
+        f = random_formula(rng, ["a", "b", "c", RESERVED], 3, rng.randint(1, 16))
+        inputs += [f, nnf(f), _with_sugar(rng, f), _with_sugar(rng, nnf(f))]
+    for f in inputs:
+        assert nnf(f) is _ref_nnf(f)
+        assert dual_negate(f) is _ref_dual(f)
+    # a non-formula operand fails the same way at either polarity
+    for bad in [7, None, And(a, 5), Or("x", a), Box(None), Neg(Dia(2.5)),
+                Neg(Neg(3)), Dia(Neg(Or(b, ())))]:
+        for fn, ref in [(nnf, _ref_nnf), (dual_negate, _ref_dual)]:
+            with pytest.raises(TypeError) as got:
+                fn(bad)
+            with pytest.raises(TypeError) as want:
+                ref(bad)
+            assert str(got.value) == str(want.value)
+
+
+def test_nnf_builds_no_node_for_nnf_input(monkeypatch):
+    rng = random.Random(12)
+    inputs = [top(), bottom(), Box(Or(Neg(a), Dia(bottom())))]
+    inputs += [nnf(random_formula(rng, ["a", "b", "c"], 3, rng.randint(1, 16)))
+               for _ in range(300)]
+    not_nnf, want = Neg(And(a, Box(b))), Or(Neg(a), Dia(Neg(b)))
+    built = []
+    real = Formula.__new__
+
+    def counting(cls, *fields):
+        built.append(cls)
+        return real(cls, *fields)
+
+    monkeypatch.setattr(Formula, "__new__", counting)
+    for g in inputs:
+        assert nnf(g) is g
+    assert built == []
+    # the counter sees the nodes a non-NNF input is rebuilt from
+    assert nnf(not_nnf) is want
+    assert built == [Neg, Neg, Dia, Or]
 
 
 def test_dual_negate_golden():

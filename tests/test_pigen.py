@@ -120,17 +120,17 @@ def test_entry_table_matches_all_pairs_filter():
 def test_entry_table_bounds_clause_checks(monkeypatch):
     # thm21 n=2: 81 candidates over 12 distinct entries, 4 of them each
     # candidate's own.  The entry table checks every other entry against
-    # each candidate once: 8 * 81 = 648 clause checks, against 6480 for
-    # the all-pairs filter.
+    # each candidate once: 8 * 81 = 648 entailment checks, against 6480
+    # clause checks for the all-pairs filter.
     phi, _ = generate(FamilySpec("thm21", n=2))
     clause_checks = []
-    real = generate_module._clause_entails
+    real = generate_module.entails
 
     def counting(l, r):
         clause_checks.append((l, r))
         return real(l, r)
 
-    monkeypatch.setattr(generate_module, "_clause_entails", counting)
+    monkeypatch.setattr(generate_module, "entails", counting)
     assert len(gen_pi(phi)) == 81
     assert len(clause_checks) == 648
 
