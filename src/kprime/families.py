@@ -21,9 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 
-from .dnf import _delta_entries, dnf4
 from .formulas import (And, Box, Dia, Formula, Neg, Or, Var,
                        fold_and, fold_or)
 from .parser import is_variable_name
@@ -75,29 +73,21 @@ def _bvar(i: int, j: int) -> Formula:
 def generate(spec: FamilySpec) -> tuple[Formula, list[Formula]]:
     """Build the family instance: (formula, distinguished clauses)."""
     fam = spec.family
-    if fam in ("thm18", "thm21"):
-        if spec.n < 1:
-            raise ValueError("n must be positive")
-        if spec.n > N_CAP:
-            raise ValueError("%s n=%d exceeds cap %d" % (fam, spec.n, N_CAP))
-        return _thm18(spec.n) if fam == "thm18" else _thm21(spec.n)
-    if fam == "thm19":
-        if spec.n < 1:
-            raise ValueError("n must be positive")
-        if spec.n > THM19_N_CAP:
-            raise ValueError("thm19 n=%d exceeds cap %d" % (spec.n, THM19_N_CAP))
-        return _thm19(spec.n)
-    if fam == "thm11":
-        if spec.k < 1:
-            raise ValueError("k must be positive")
-        if spec.k > K_CAP:
-            raise ValueError("thm11 k=%d exceeds cap %d" % (spec.k, K_CAP))
-        return _thm11(spec.k)
     if fam == "random":
         if spec.vars < 1 or spec.depth < 0 or spec.length < 1:
             raise ValueError("random family needs vars >= 1, depth >= 0, length >= 1")
         return _random(spec)
-    raise ValueError("unknown family: %s" % fam)
+    sized = {"thm18": (_thm18, "n", N_CAP), "thm21": (_thm21, "n", N_CAP),
+             "thm19": (_thm19, "n", THM19_N_CAP), "thm11": (_thm11, "k", K_CAP)}
+    if fam not in sized:
+        raise ValueError("unknown family: %s" % fam)
+    build, name, cap = sized[fam]
+    value = getattr(spec, name)
+    if value < 1:
+        raise ValueError("%s must be positive" % name)
+    if value > cap:
+        raise ValueError("%s %s=%d exceeds cap %d" % (fam, name, value, cap))
+    return build(value)
 
 
 def _thm18(n: int) -> tuple[Formula, list[Formula]]:
@@ -109,17 +99,21 @@ def _thm18(n: int) -> tuple[Formula, list[Formula]]:
 
 
 def _thm21(n: int) -> tuple[Formula, list[Formula]]:
-    conj = fold_and([Or(And(Dia(_avar(i, 1)), Box(_bvar(i, 1))),
-                        And(Dia(_avar(i, 2)), Box(_bvar(i, 2))))
-                     for i in range(1, n + 1)])
-    dia_lists = [[e for e in _delta_entries(t) if isinstance(e, Dia)]
-                 for t in dnf4(conj)]
-    count = prod(len(ds) for ds in dia_lists)
+    # term js of the formula's DNF picks disjunct j_i of conjunct i; its
+    # entries strengthen each diamond by the conjunction of its boxes, and
+    # a distinguished clause picks one entry per term
+    count = n ** (2 ** n)
     if count > DISTINGUISHED_CAP:
         raise ValueError("thm21 n=%d has %d distinguished clauses, over the "
                          "%d materialization bound" % (n, count, DISTINGUISHED_CAP))
-    distinguished = [fold_or(list(pick)) for pick in product(*dia_lists)]
-    return conj, distinguished
+    conj = fold_and([Or(And(Dia(_avar(i, 1)), Box(_bvar(i, 1))),
+                        And(Dia(_avar(i, 2)), Box(_bvar(i, 2))))
+                     for i in range(1, n + 1)])
+    entries = []
+    for js in product((1, 2), repeat=n):
+        beta = fold_and([_bvar(i, j) for i, j in enumerate(js, 1)])
+        entries.append([Dia(And(_avar(i, j), beta)) for i, j in enumerate(js, 1)])
+    return conj, [fold_or(list(pick)) for pick in product(*entries)]
 
 
 def _thm19(n: int) -> tuple[Formula, list[Formula]]:

@@ -26,7 +26,7 @@ from .formulas import (
     fold_or,
     nnf,
 )
-from .grammar import ClauseView4, SyntacticKind, _flatten, view4
+from .grammar import ClauseView4, SyntacticKind, _flatten, _split4, view4
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,32 +56,30 @@ def witness_universe(f: Formula) -> WitnessUniverse:
 def normalize_clause(l: ClauseView4) -> ClauseView4:
     """Equivalent clause with no redundant disjunct and absorbing boxes.
 
-    Redundant disjuncts are deleted first (left-to-right, restarting after
-    each hit), then every box body absorbs the diamond bodies, then the
-    deletion scan runs once more; a deletion after absorption cannot break
-    the absorption property, so the result satisfies both.
+    Redundant disjuncts are deleted in one left-to-right scan: p is
+    redundant in p | rest iff p entails rest, and a disjunct found needed
+    stays needed after later deletions, as a smaller rest is only harder
+    to entail. Then every box body absorbs the diamond bodies and, if that
+    changed a box, the scan runs once more; a deletion after absorption
+    cannot break the absorption property, so the result satisfies both.
     """
     parts = _delete_redundant(list(l.parts))
     psis = [p.child for p in parts if isinstance(p, Dia)]
-    if psis:
-        parts = [
-            Box(fold_or([p.child] + psis)) if isinstance(p, Box) else p
-            for p in parts
-        ]
-        parts = _delete_redundant(parts)
-    return view4(fold_or(parts), SyntacticKind.CLAUSE)
+    absorbed = [Box(fold_or([p.child] + psis)) if isinstance(p, Box) else p
+                for p in parts]
+    if absorbed != parts:
+        parts = _delete_redundant(absorbed)
+    return ClauseView4(*_split4(parts), tuple(parts))
 
 
 def _delete_redundant(parts: list[Formula]) -> list[Formula]:
-    while len(parts) > 1:
-        whole = fold_or(parts)
-        for idx in range(len(parts)):
-            rest = parts[:idx] + parts[idx + 1 :]
-            if entails(whole, fold_or(rest)):
-                parts = rest
-                break
+    k = 0
+    while len(parts) > 1 and k < len(parts):
+        rest = parts[:k] + parts[k + 1 :]
+        if entails(parts[k], fold_or(rest)):
+            parts = rest
         else:
-            break
+            k += 1
     return parts
 
 
@@ -174,10 +172,11 @@ def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
 def _reach_table(phi: Formula, psi: Formula, xs) -> list[int] | None:
     # One mask per term of dnf4(phi): the universe positions whose presence
     # in S lets the term reach S, namely its box bodies and its good
-    # diamond bodies.  Every modal body of a term is in the universe.  None
-    # when some term has no good diamond body and so never reaches.
+    # diamond bodies eta, those with (eta and beta) entailing psi; in K that
+    # decides dia(eta and beta) entailing dia(psi).  Every modal body of a
+    # term is in the universe.  None when some term has no good diamond
+    # body and so never reaches.
     index = {x: k for k, x in enumerate(xs)}
-    target = Dia(psi)
     good: dict[Formula, bool] = {}
     needs = []
     for t in dnf4(phi):
@@ -186,7 +185,7 @@ def _reach_table(phi: Formula, psi: Formula, xs) -> list[int] | None:
         for eta in t.diamonds:
             body = eta if beta is None else And(eta, beta)
             if body not in good:
-                good[body] = entails(Dia(body), target)
+                good[body] = entails(body, psi)
             if good[body]:
                 mask |= 1 << index[eta]
         if not mask:

@@ -1,10 +1,11 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from kprime import families
 from kprime.decision import entails, equivalent, sat
+from kprime.dnf import _delta_entries, dnf4
 from kprime.families import (
     FamilySpec,
     QbfInstance,
@@ -15,7 +16,7 @@ from kprime.families import (
     qbf_valid_bruteforce,
     xc_encode,
 )
-from kprime.formulas import And, Box, Dia, Neg, Or, Var, metrics, unparse
+from kprime.formulas import And, Box, Dia, Neg, Or, Var, fold_or, metrics, unparse
 from kprime.generate import gen_pi
 from kprime.grammar import DefId, SyntacticKind, is_member, view4
 from kprime.parser import parse
@@ -106,6 +107,17 @@ def test_thm21_members_are_prime():
             assert not equivalent(x, y)
 
 
+def test_thm21_distinguished_match_the_engine():
+    # one diamond entry of each dnf4 term, combined in product order
+    for n in (1, 2, 3):
+        f, d = generate(FamilySpec("thm21", n=n))
+        dia_lists = [[x for x in _delta_entries(t) if isinstance(x, Dia)]
+                     for t in dnf4(f)]
+        expected = [fold_or(list(pick)) for pick in product(*dia_lists)]
+        assert len(d) == len(expected) == n ** (2 ** n)
+        assert all(x is y for x, y in zip(d, expected))
+
+
 def test_thm21_materialization_bound():
     with pytest.raises(ValueError, match="materialization"):
         generate(FamilySpec("thm21", n=4))
@@ -166,8 +178,17 @@ def test_random_family():
 
 
 def test_generate_validation():
-    with pytest.raises(ValueError):
-        generate(FamilySpec("nope"))
+    for spec, message in [
+        (FamilySpec("thm21", n=0), "n must be positive"),
+        (FamilySpec("thm18", n=5), "thm18 n=5 exceeds cap 4"),
+        (FamilySpec("thm19", n=3), "thm19 n=3 exceeds cap 2"),
+        (FamilySpec("thm11", k=0), "k must be positive"),
+        (FamilySpec("thm11", k=7), "thm11 k=7 exceeds cap 6"),
+        (FamilySpec("nope"), "unknown family: nope"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            generate(spec)
+        assert str(err.value) == message
     with pytest.raises(ValueError):
         generate(FamilySpec("random", length=0))
     with pytest.raises(ValueError):

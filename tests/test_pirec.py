@@ -76,6 +76,79 @@ def test_normalize_properties():
             assert equivalent(chi, fold_or([chi] + list(out.diamonds)))
 
 
+def _normalize_reference(l):
+    # normalization as a scan restarted after each deletion, testing
+    # C |= C minus p, then a second scan whenever there is a diamond
+    def delete_redundant(parts):
+        while len(parts) > 1:
+            whole = fold_or(parts)
+            for idx in range(len(parts)):
+                rest = parts[:idx] + parts[idx + 1 :]
+                if entails(whole, fold_or(rest)):
+                    parts = rest
+                    break
+            else:
+                break
+        return parts
+
+    parts = delete_redundant(list(l.parts))
+    psis = [p.child for p in parts if isinstance(p, Dia)]
+    if psis:
+        parts = [
+            Box(fold_or([p.child] + psis)) if isinstance(p, Box) else p
+            for p in parts
+        ]
+        parts = delete_redundant(parts)
+    return view4(fold_or(parts), SyntacticKind.CLAUSE)
+
+
+def _same_nodes(xs, ys):
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
+def test_normalize_matches_reference():
+    rng = random.Random(12)
+    boxed = 0
+    for _ in range(2000):
+        cl = random_surface_clause(rng, "abc", body_depth=rng.randint(1, 2),
+                                   width=6)
+        view = view4(cl, SyntacticKind.CLAUSE)
+        out, ref = normalize_clause(view), _normalize_reference(view)
+        for field in ("parts", "gammas", "diamonds", "boxes"):
+            assert _same_nodes(getattr(out, field), getattr(ref, field)), cl
+        boxed += bool(view.boxes)
+    assert boxed >= 1000
+
+
+def test_normalize_checks_each_disjunct_once_per_pass(monkeypatch):
+    calls = []
+    real = rec.entails
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(rec, "entails", counting)
+    out = normalize_clause(clause_view("a | <>b | <>(b & c)"))
+    assert out.parts == (a, Dia(b))
+    # one check per disjunct, and no second pass without a box
+    assert len(calls) == 3
+    calls.clear()
+    text = " | ".join(["a%d" % i for i in range(10)] + ["<>b"]
+                      + ["<>(b & c%d)" % i for i in range(10)] + ["[]e"])
+    view = clause_view(text)
+    out = normalize_clause(view)
+    assert len(out.parts) == 12
+    assert out.boxes == (Or(e, b),)
+    assert len(calls) <= 2 * len(view.parts)
+
+
+def test_normalize_empty_clause():
+    out = normalize_clause(view4(bottom(), SyntacticKind.CLAUSE))
+    assert out.parts == ()
+    assert out.assemble() == bottom()
+
+
 def test_prop_pi_examples():
     phi = parse(PHI33)
     assert rec.test_prop_pi(clause_view("a | <>c"), phi)
