@@ -6,13 +6,22 @@ text or JSON, and signals its verdict through the exit code: 0 for a
 successful affirmative or neutral result, 1 for a negative verdict
 (unsat, non-entailment, not prime, not a member), 2 for usage, parse,
 or input errors.
+
+argv is read in one loop over the COMMANDS table, the only place flags,
+help texts, choices and types are written down. It takes `--flag value`,
+`--flag=value`, unique prefixes of long flags, `-eVALUE`, repeated `-e`,
+files before or after the flags, and `--`. `-h`/`--help` prints help on
+stdout and exits 0; a usage error prints nothing on stdout, the usage
+line and `kpi[ CMD]: error: ...` on stderr, and exits 2. No argparse:
+importing it, gettext and locale cost more than reading and deciding a
+small formula.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .decision import entails, sat
 from .dnf import cnf4, dnf4
@@ -226,36 +235,130 @@ COMMANDS = {
 }
 
 
-class _CommandParser:
-    """A command's entry in the `kpi` parser. Argparse hands it the
-    arguments after the command name, and only then is that command's
-    parser built: a run builds two parsers, not one per command."""
+HELP = _arg("-h", "--help", action="help", help="show this help message and exit")
+JSON = _arg("--json", action="store_true", help="machine-readable output")
+SWITCHES = ("help", "store_true")
 
-    def __init__(self, command, **_):
-        self.command = command
 
-    def parse_known_args(self, args, namespace):
-        parser = argparse.ArgumentParser(prog="kpi " + self.command)
-        parser.add_argument("--json", action="store_true", help="machine-readable output")
-        for flags, kwargs in COMMANDS[self.command][2]:
-            parser.add_argument(*flags, **kwargs)
-        return parser.parse_known_args(args, namespace)
+class _UsageError(Exception):
+    """A malformed argv: (command or None, message)."""
+
+
+def _spec(command):
+    """The arguments kpi takes before its command, or those of the command."""
+    return (HELP,) if command is None else (HELP, JSON) + COMMANDS[command][2]
+
+
+def _dest(flags, kwargs):
+    return kwargs.get("dest", flags[-1].lstrip("-"))
+
+
+def _label(flag, kwargs):
+    """A flag and its value, as usage and help show them."""
+    choices = kwargs.get("choices")
+    value = kwargs.get("metavar") or ("{%s}" % ",".join(choices) if choices
+                                      else flag.lstrip("-").upper())
+    if flag[0] != "-":
+        return value + " ..."
+    return flag if kwargs.get("action") in SWITCHES else "%s %s" % (flag, value)
+
+
+def _usage(command):
+    if command is None:
+        return "usage: kpi [-h] {%s} ..." % ",".join(COMMANDS)
+    return " ".join(["usage: kpi", command] + [
+        _label(flags[0], kw) if kw.get("required") else "[%s]" % _label(flags[0], kw)
+        for flags, kw in _spec(command)])
+
+
+def _help(command):
+    about = "Prime implicates and implicants for the modal logic K."
+    rows = [(", ".join(_label(flag, kw) for flag in flags), kw.get("help", ""))
+            for flags, kw in _spec(command)]
+    if command is None:
+        rows += [(name, entry[1]) for name, entry in COMMANDS.items()]
+    return "\n".join([_usage(command), "", COMMANDS[command][1] if command else about, ""]
+                     + [("    %-22s %s" % row).rstrip() for row in rows])
+
+
+def _read_argv(argv):
+    """Read argv in one pass against the COMMANDS table: the namespace of
+    the command to run, or None once help is printed. Raises _UsageError."""
+    command, ns, extras, words = None, {}, [], iter(argv)
+    flags, positionals = {"-h": HELP, "--help": HELP}, extras
+    for word in words:
+        if word == "--" and command is not None:
+            positionals.extend(words)
+            continue
+        if word[:1] != "-" or word in ("-", "--"):
+            if command is not None:
+                positionals.append(word)
+                continue
+            if word not in COMMANDS:
+                raise _UsageError(None, "argument command: invalid choice: %r (choose "
+                                  "from %s)" % (word, ", ".join(map(repr, COMMANDS))))
+            command = word
+            flags = {flag: arg for arg in _spec(word) for flag in arg[0] if flag[0] == "-"}
+            ns = {_dest(names, kw): kw.get("default", (
+                False if kw.get("action") == "store_true" else [] if "nargs" in kw else None))
+                for names, kw in _spec(word)[1:]}
+            ns["command"], positionals = word, ns.get("files", extras)
+            continue
+        name, eq, value = word.partition("=")
+        if name not in flags and word[1] != "-" and word[:2] in flags:
+            name, eq, value = word[:2], "=", word[2:]
+        found = [name] if name in flags else [
+            flag for flag in flags if name[:2] == "--" and flag.startswith(name)]
+        if len(found) > 1:
+            raise _UsageError(command, "ambiguous option: %s could match %s"
+                              % (name, ", ".join(found)))
+        if not found:
+            extras.append(word)
+            continue
+        names, kw = flags[found[0]]
+        action, dest = kw.get("action"), _dest(names, kw)
+        label = "argument " + "/".join(names)
+        if eq and action in SWITCHES:
+            raise _UsageError(command, "%s: ignored explicit argument %r" % (label, value))
+        if action == "help":
+            print(_help(command))
+            return None
+        if action == "store_true":
+            ns[dest] = True
+            continue
+        if not eq:
+            value = next(words, None)
+            if value is None:
+                raise _UsageError(command, "%s: expected one argument" % label)
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:
+            raise _UsageError(command, "%s: invalid %s value: %r"
+                              % (label, kw["type"].__name__, value)) from None
+        if value not in kw.get("choices", (value,)):
+            raise _UsageError(command, "%s: invalid choice: %r (choose from %s)"
+                              % (label, value, ", ".join(map(repr, kw["choices"]))))
+        ns[dest] = (ns[dest] or []) + [value] if action == "append" else value
+    missing = ["command"] if command is None else [
+        "/".join(names) for names, kw in _spec(command)
+        if kw.get("required") and ns[_dest(names, kw)] is None]
+    if missing:
+        raise _UsageError(command, "the following arguments are required: %s"
+                          % ", ".join(missing))
+    if extras:
+        raise _UsageError(None, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**ns)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="kpi",
-        description="Prime implicates and implicants for the modal logic K.")
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 parser_class=_CommandParser)
-    for name, (_, help_text, _) in COMMANDS.items():
-        subs.add_parser(name, help=help_text, command=name)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as stop:
-        return stop.code if isinstance(stop.code, int) else 2
-    try:
-        return COMMANDS[args.command][0](args)
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else COMMANDS[args.command][0](args)
+    except _UsageError as err:
+        command, message = err.args
+        prog = "kpi " + command if command else "kpi"
+        print("%s\n%s: error: %s" % (_usage(command), prog, message), file=sys.stderr)
+        return 2
     except (ValueError, OSError, RuntimeError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

@@ -1,14 +1,17 @@
 import argparse
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from kprime import And, Box, Dia, Neg, Or, Var, cli, parse
 from kprime.decision import entails, equivalent
 from kprime.formulas import fold_and, fold_or, unparse
+from kprime.grammar import DefId, SyntacticKind
 
 from helpers import random_formula, run_cli
 
@@ -259,21 +262,112 @@ def test_usage_and_parse_errors():
         assert out_cmd.startswith("usage: kpi %s " % command)
 
 
-def test_main_builds_at_most_two_parsers(monkeypatch):
-    built = []
-    real_init = argparse.ArgumentParser.__init__
+class _ReferenceCommandParser:
+    """The argparse front end that kpi's one-loop argv reader replaced,
+    kept as the reference for it: a command's parser, built from the same
+    COMMANDS entry once argparse hands it the arguments after the name."""
 
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        real_init(self, *args, **kwargs)
+    def __init__(self, command, **_):
+        self.command = command
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for argv in (["sat", "-e", "a"],
-                 ["testpi", "--clause", "a", "--formula", "a & b"],
-                 ["gen", "--family", "thm18"]):
-        built.clear()
-        assert run_cli(*argv)[0] == 0
-        assert len(built) <= 2, (argv, built)
+    def parse_known_args(self, args, namespace):
+        parser = argparse.ArgumentParser(prog="kpi " + self.command)
+        parser.add_argument("--json", action="store_true", help="machine-readable output")
+        for flags, kwargs in cli.COMMANDS[self.command][2]:
+            parser.add_argument(*flags, **kwargs)
+        return parser.parse_known_args(args, namespace)
+
+
+def reference_read_argv(argv):
+    """(vars of the namespace or None, exit code) from the argparse front end."""
+    parser = argparse.ArgumentParser(
+        prog="kpi",
+        description="Prime implicates and implicants for the modal logic K.")
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=_ReferenceCommandParser)
+    for name, (_, help_text, _) in cli.COMMANDS.items():
+        subs.add_parser(name, help=help_text, command=name)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv)), 0
+    except SystemExit as stop:
+        return None, stop.code
+
+
+DEFS, KINDS = [d.value for d in DefId], [k.value for k in SyntacticKind]
+# every command, and every argv form: --flag value, --flag=value, unique
+# prefixes, -eVALUE, repeated -e, positionals before and after flags, --
+PARSED = [
+    ["sat", "-e", "a"], ["sat", "--expr", "a"], ["sat", "--expr=a"], ["sat", "-ea"],
+    ["sat", "--ex", "a"], ["sat", "--e=a"], ["sat", "f1"], ["sat", "-"],
+    ["sat", "f1", "f2", "-e", "a"], ["sat", "-e", "a", "f1", "f2"],
+    ["sat", "--json", "-e", "a"], ["sat", "-e", "a", "--js"],
+    ["sat", "-e", "a", "--", "f1"], ["sat", "--", "f1", "-e"],
+    ["entail", "-e", "a", "-e", "b"], ["entail", "-ea", "--expr", "b", "--json"],
+    ["entail", "-e", "a", "f1", "-e", "b"],
+    ["eval", "--model", "m", "--world", "w", "-e", "a"],
+    ["eval", "f1", "--model=m", "--wor", "w", "--json"],
+    ["nnf", "-e", "a", "--simplify"], ["dnf4", "--si", "-e", "a"],
+    ["cnf4", "--json", "f1"], ["implicants", "-e", "a", "--sim"],
+    ["genpi", "--iter", "-e", "a"], ["genpi", "--it", "--simp", "-ea", "--json"],
+    ["testpi", "--clause", "a", "--formula", "a & b"],
+    ["testpi", "--cl=a", "--fo", "b", "--tr", "--json"],
+    ["testpi", "--formula", "b", "--clause", "a", "--clause", "c"],
+    ["testimplicant", "--term", "a", "--formula", "a"],
+    ["testimplicant", "--te", "a", "--formula=b", "--trace"],
+    ["gen", "--family", "thm18"], ["gen", "--family=random", "--n", "3", "--seed", "-1"],
+    ["gen", "--fam", "qbf", "--fi", "q.txt"],
+    ["gen", "--family", "thm11", "--n", "2", "--k=3", "--simplify", "--json"],
+] + [["classify", "--def", d, "--kind", k, "-e", "a"] for d in DEFS for k in KINDS]
+HELPED = [["--help"], ["-h"], ["--he"], ["testpi", "-h"], ["gen", "--h"],
+          ["sat", "-e", "a", "--help"]]
+# no command, an unknown command or flag, a missing value, a missing
+# required flag, a bad choice, a non-int value, an ambiguous prefix
+MALFORMED = [
+    [], ["frobnicate"], ["--bogus"], ["sat", "--bogus"], ["sat", "-x"],
+    ["--json", "sat", "-e", "a"], ["testpi", "--clause", "a", "--formula", "b", "extra"],
+    ["sat", "--json=yes", "-e", "a"],
+    ["sat", "-e"], ["testpi", "--clause", "a", "--formula"], ["gen", "--family"],
+    ["testpi", "--clause", "a"], ["eval", "-e", "a", "--model", "m"],
+    ["classify", "-e", "a", "--def", DEFS[0]], ["gen"],
+    ["classify", "--def", "x", "--kind", KINDS[0], "-e", "a"],
+    ["classify", "--def", DEFS[0], "--kind", "x", "-e", "a"], ["gen", "--family", "thm99"],
+    ["gen", "--family", "thm18", "--n", "x"], ["gen", "--family", "thm18", "--k", "1.5"],
+    ["gen", "--family", "thm18", "--seed", "s"],
+    ["gen", "--f", "thm18"], ["gen", "--family", "thm18", "--s"],
+]
+
+
+def test_argv_reader_matches_argparse_reference():
+    assert {argv[0] for argv in PARSED} == set(cli.COMMANDS)
+    for argv in PARSED:
+        ref, code = reference_read_argv(argv)
+        assert code == 0, argv
+        assert vars(cli._read_argv(argv)) == ref, argv
+    for argv in HELPED + [[command, "--help"] for command in cli.COMMANDS]:
+        assert reference_read_argv(argv)[1] == 0, argv
+        code, out, err = run_cli(*argv)
+        assert code == 0 and out.startswith("usage: kpi") and err == "", argv
+    for argv in MALFORMED:
+        ref_code = reference_read_argv(argv)[1]
+        code, out, err = run_cli(*argv)
+        assert ref_code == 2 and code == 2 and out == "", argv
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: kpi "), argv
+        assert error.split(": error: ")[0] in ("kpi", "kpi " + "".join(argv[:1])), argv
+
+
+def test_main_imports_no_argparse_gettext_or_locale():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys\n"
+            "import kprime.cli\n"
+            "assert kprime.cli.main(['sat', '-e', 'a']) == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "sat\n[]\n"), done.stderr
 
 
 def test_examples_script():
