@@ -11,8 +11,10 @@ Each propositionally consistent branch
 gamma & <>psi_1 & ... & []chi_1 & ... & []chi_n is satisfiable iff every
 psi_i & chi_1 & ... & chi_n is, one modal level down.  Verdicts of the
 modal recursion are memoized across calls in a bounded LRU cache; its keys
-are interned formulas, so a lookup hashes no subtree.  Repeated branch
-assignments are solved once per level.
+are interned formulas, so a lookup hashes no subtree.  The verdict walk
+passes over a disjunction with a side already on the branch: its choices
+would only add literals to a branch that satisfies it, and dropping
+literals never makes a branch unsatisfiable.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ from .formulas import (
 from .grammar import ClauseView4
 
 
-def surface_branches(g: Formula):
+def surface_branches(g: Formula, skip_satisfied: bool = False):
     """Stream the surface-DNF branches of an NNF formula as tuples of
     surface literals (variables, negated variables, boxes, diamonds) in
     source order. Propositionally clashing branches are pruned; duplicate
-    literals collapse to their first occurrence."""
+    literals collapse to their first occurrence.  skip_satisfied, passed
+    by _sat_nnf only, passes over an Or with a side already on the branch."""
     branch: dict[Formula, str | None] = {}  # literal -> its variable name
     sign: dict[str, bool] = {}
     choices = []  # (rest of the walk at an Or's right side, branch length)
@@ -52,6 +55,8 @@ def surface_branches(g: Formula):
                 todo = (h.left, (h.right, todo))
                 continue
             if isinstance(h, Or):
+                if skip_satisfied and (h.left in branch or h.right in branch):
+                    continue
                 choices.append(((h.right, todo), len(branch)))
                 todo = (h.left, todo)
                 continue
@@ -79,10 +84,6 @@ def surface_branches(g: Formula):
                 del sign[name]
 
 
-# per-call dedup of revisited branch assignments, capped to bound memory
-_TRIED_LIMIT = 1 << 16
-
-
 def _modal_sat(branch) -> bool:
     """The modal step for one propositionally consistent surface branch:
     it is satisfiable iff every diamond body & all box bodies is."""
@@ -95,13 +96,7 @@ def _modal_sat(branch) -> bool:
 
 @lru_cache(maxsize=1 << 18)
 def _sat_nnf(g: Formula) -> bool:
-    tried: set[frozenset] = set()
-    for branch in surface_branches(g):
-        key = frozenset(branch)
-        if key in tried:
-            continue
-        if len(tried) < _TRIED_LIMIT:
-            tried.add(key)
+    for branch in surface_branches(g, skip_satisfied=True):
         if _modal_sat(branch):
             return True
     return False

@@ -23,11 +23,12 @@ class Formula:
     __slots__ = ("__weakref__",)
 
     def __new__(cls, *fields):
-        if len(fields) != len(cls.__slots__):
-            raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
         key = (cls, *fields)
         node = _NODES.get(key)
         if node is None:
+            # a miss only: a key of the wrong length never matches a node
+            if len(fields) != len(cls.__slots__):
+                raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
             node = object.__new__(cls)
             for name, value in zip(cls.__slots__, fields):
                 object.__setattr__(node, name, value)

@@ -110,6 +110,19 @@ def random_qbf3(rng):
     return QbfInstance(prefix, matrix)
 
 
+def random_qbf(rng, nvars):
+    """Random prenex QBF over p1..p<nvars>: a random quantifier per
+    variable and 8 clauses of 3 distinct variables, each literal negated
+    with probability 1/2."""
+    names = ["p%d" % (i + 1) for i in range(nvars)]
+    prefix = tuple((rng.choice(("forall", "exists")), p) for p in names)
+    matrix = tuple(
+        tuple(("-" + p) if rng.random() < 0.5 else p for p in rng.sample(names, 3))
+        for _ in range(8)
+    )
+    return QbfInstance(prefix, matrix)
+
+
 def all_xc_instances():
     """Every instance with universe size <= 2 and 1..3 distinct subsets."""
     out = []

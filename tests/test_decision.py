@@ -1,7 +1,9 @@
 import random
+from functools import lru_cache
 
 import pytest
 
+from kprime import decision
 from kprime.decision import (
     clause_entails_fast,
     entails,
@@ -10,6 +12,7 @@ from kprime.decision import (
     sat,
     surface_branches,
 )
+from kprime.families import qbf_encode, qbf_valid_bruteforce
 from kprime.formulas import And, Box, Dia, Neg, Or, Var, fold_and, fold_or, nnf
 from kprime.grammar import SyntacticKind, view4
 from kprime.parser import parse
@@ -19,6 +22,7 @@ from helpers import (
     random_formula,
     random_nnf,
     random_prop_lit,
+    random_qbf,
     random_surface_clause,
 )
 
@@ -162,6 +166,82 @@ def test_surface_branches_match_reference():
     fixtures += [random_formula(rng, ["a", "b"], rng.randint(0, 2), 30) for _ in range(100)]
     for g in fixtures:
         assert branch_stream(surface_branches, g) == branch_stream(reference_surface_branches, g)
+
+
+def walk_fixtures():
+    rng = random.Random(14)
+    for _ in range(5000):
+        names = ["a", "b", "c"][: rng.randint(2, 3)]
+        yield random_nnf(rng, names, rng.randint(0, 2), 40)
+
+
+def test_skip_satisfied_stream_covers_default_stream():
+    # the verdict walk may only leave out branches that hold a branch it
+    # keeps: dropping literals never makes a branch unsatisfiable
+    for g in walk_fixtures():
+        full = list(surface_branches(g))
+        kept = list(surface_branches(g, skip_satisfied=True))
+        rest = iter(full)
+        assert all(branch in rest for branch in kept), g
+        kept_sets = [set(branch) for branch in kept]
+        for branch in full:
+            assert any(k <= set(branch) for k in kept_sets), g
+
+
+def reference_modal_sat(branch):
+    """_modal_sat before the verdict walk skipped satisfied disjunctions."""
+    dias = [p.child for p in branch if isinstance(p, Dia)]
+    if not dias:
+        return True
+    chi = fold_and([p.child for p in branch if isinstance(p, Box)])
+    return all(map(reference_sat_nnf, [p if chi is None else And(p, chi) for p in dias]))
+
+
+@lru_cache(maxsize=None)
+def reference_sat_nnf(g):
+    """_sat_nnf over the default stream, solving each distinct branch
+    assignment once."""
+    tried = set()
+    for branch in surface_branches(g):
+        key = frozenset(branch)
+        if key in tried:
+            continue
+        tried.add(key)
+        if reference_modal_sat(branch):
+            return True
+    return False
+
+
+def test_sat_matches_tried_reference():
+    try:
+        for g in walk_fixtures():
+            assert sat(g) == reference_sat_nnf(g), g
+    finally:
+        reference_sat_nnf.cache_clear()
+
+
+def test_qbf_verdicts():
+    for nvars in (4, 5, 6):
+        for seed in range(10):
+            q = random_qbf(random.Random(seed), nvars)
+            assert sat(qbf_encode(q)) == qbf_valid_bruteforce(q), (nvars, seed)
+
+
+def test_qbf_modal_checks(monkeypatch):
+    # the default stream re-derives one branch assignment many times:
+    # 25 646 branches and 446 distinct modal checks on this instance
+    calls = []
+    modal_sat = decision._modal_sat
+
+    def counted(branch):
+        calls.append(branch)
+        return modal_sat(branch)
+
+    monkeypatch.setattr(decision, "_modal_sat", counted)
+    decision._sat_nnf.cache_clear()
+    q = random_qbf(random.Random(1), 4)
+    assert sat(qbf_encode(q)) is False
+    assert len(calls) <= 100
 
 
 def test_clause_fast_examples():

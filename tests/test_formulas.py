@@ -42,8 +42,11 @@ def test_structural_equality_and_hash():
         a.name = "b"
     with pytest.raises(AttributeError):
         del And(a, b).left
-    with pytest.raises(TypeError):
-        And(a)
+    # the field count is checked when a node is made, so a wrong count
+    # raises even for a class with nodes already interned
+    for cls, fields in ((And, (a,)), (Var, ()), (Var, ("a", "b"))):
+        with pytest.raises(TypeError):
+            cls(*fields)
     # the interning table holds its nodes weakly
     gc.collect()
     before = len(formulas._NODES)
