@@ -2,6 +2,8 @@
 
 Nodes are hash-consed (Filliatre & Conchon, ML Workshop 2006): building a
 node equal to a live one returns that node, so == is identity and hash O(1).
+Since a node never changes, it also holds its NNF and its dual once they
+are first computed.
 """
 
 from __future__ import annotations
@@ -12,27 +14,53 @@ from dataclasses import dataclass
 # reserved variable used to desugar the true/false keywords
 RESERVED = "_c"
 
-# (class, fields) -> the live node with those fields; the fields of an
-# inner node are its already interned children
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+class _Entry(weakref.ref):
+    """A weak reference to an interned node that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+# (class, fields) -> an _Entry of the live node with those fields; the
+# fields of an inner node are its already interned children
+_NODES: dict[tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry) -> None:
+    # called as entry's node dies; a node built since under the same key
+    # has a new entry, which stays
+    if _NODES.get(entry.key) is entry:
+        del _NODES[entry.key]
 
 
 class Formula:
-    """Base class of the AST. Instances are interned and immutable."""
+    """Base class of the AST. Instances are interned and immutable.
 
-    __slots__ = ("__weakref__",)
+    _pos holds nnf(self), or True when the node is its own NNF, and _neg a
+    weak reference to dual_negate(self); both are None until _nnf first
+    computes them. The dual of an NNF node is held weakly because the two
+    would otherwise hold each other."""
+
+    __slots__ = ("__weakref__", "_pos", "_neg")
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        node = _NODES.get(key)
-        if node is None:
-            # a miss only: a key of the wrong length never matches a node
-            if len(fields) != len(cls.__slots__):
-                raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
-            node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                object.__setattr__(node, name, value)
-            _NODES[key] = node
+        entry = _NODES.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        # a miss only: a key of the wrong length never matches a node
+        if len(fields) != len(cls.__slots__):
+            raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+        _set_pos(node, None)
+        _set_neg(node, None)
+        entry = _Entry(node, _forget)
+        entry.key = key
+        _NODES[key] = entry
         return node
 
     def __setattr__(self, *args):
@@ -49,6 +77,11 @@ class Formula:
 
     def __str__(self) -> str:
         return unparse(self)
+
+
+# the held normal forms are written past the immutability guard
+_set_pos = Formula._pos.__set__
+_set_neg = Formula._neg.__set__
 
 
 class Var(Formula):
@@ -140,27 +173,44 @@ def dual_negate(f: Formula) -> Formula:
 
 
 def _nnf(f: Formula, negated: bool) -> Formula:
-    # NNF of f, or of !f when negated; at positive polarity a node whose
-    # operands come back unchanged is returned as it is, so an NNF input
-    # builds no node
+    # NNF of f, or of !f when negated, held on f once computed; at positive
+    # polarity a node whose operands come back unchanged is returned as it
+    # is, so an NNF input builds no node.  A variable holds nothing: its
+    # dual is one lookup in the interning table.
     cls = type(f)
+    if cls is Var:
+        return Neg(f) if negated else f
+    try:
+        held = f._neg if negated else f._pos
+    except AttributeError:
+        raise TypeError("not a formula: %r" % (f,)) from None
+    if held is not None:
+        if not negated:
+            return f if held is True else held
+        g = held()
+        if g is not None:
+            return g
     if cls is And or cls is Or:
         left, right = _nnf(f.left, negated), _nnf(f.right, negated)
         if negated:
-            return _DUAL[cls](left, right)
-        return f if left is f.left and right is f.right else cls(left, right)
-    if cls is Box or cls is Dia:
+            g = _DUAL[cls](left, right)
+        else:
+            g = f if left is f.left and right is f.right else cls(left, right)
+    elif cls is Box or cls is Dia:
         child = _nnf(f.child, negated)
         if negated:
-            return _DUAL[cls](child)
-        return f if child is f.child else cls(child)
-    if cls is Var:
-        return Neg(f) if negated else f
-    if cls is Neg:
-        if not negated and type(f.child) is Var:
-            return f
-        return _nnf(f.child, not negated)
-    raise TypeError("not a formula: %r" % (f,))
+            g = _DUAL[cls](child)
+        else:
+            g = f if child is f.child else cls(child)
+    elif cls is Neg:
+        g = f if not negated and type(f.child) is Var else _nnf(f.child, not negated)
+    else:
+        raise TypeError("not a formula: %r" % (f,))
+    if negated:
+        _set_neg(f, weakref.ref(g))
+    else:
+        _set_pos(f, True if g is f else g)
+    return g
 
 
 @dataclass(frozen=True)

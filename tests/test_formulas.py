@@ -1,5 +1,6 @@
 import copy
 import gc
+import pickle
 import random
 
 import pytest
@@ -182,7 +183,9 @@ def test_nnf_builds_no_node_for_nnf_input(monkeypatch):
     inputs = [top(), bottom(), Box(Or(Neg(a), Dia(bottom())))]
     inputs += [nnf(random_formula(rng, ["a", "b", "c"], 3, rng.randint(1, 16)))
                for _ in range(300)]
-    not_nnf, want = Neg(And(a, Box(b))), Or(Neg(a), Dia(Neg(b)))
+    # variables no other test uses, so no node of its NNF is held yet
+    p, q = Var("nnf_once_p"), Var("nnf_once_q")
+    not_nnf, want = Neg(And(p, Box(q))), Or(Neg(p), Dia(Neg(q)))
     built = []
     real = Formula.__new__
 
@@ -197,6 +200,41 @@ def test_nnf_builds_no_node_for_nnf_input(monkeypatch):
     # the counter sees the nodes a non-NNF input is rebuilt from
     assert nnf(not_nnf) is want
     assert built == [Neg, Neg, Dia, Or]
+    # the node holds its forms: asking again builds no node
+    for fn in (nnf, dual_negate):
+        first = fn(not_nnf)
+        built.clear()
+        assert fn(not_nnf) is first
+        assert built == []
+
+
+def test_held_forms_make_no_reference_cycle():
+    # a node holds its NNF strongly and its dual weakly, so normalized
+    # nodes are freed by reference counting alone, with the cycle
+    # collector off
+    gc.collect()
+    before = len(formulas._NODES)
+    gc.disable()
+    try:
+        p, q = Var("no_cycle_p"), Var("no_cycle_q")
+        not_nnf = Neg(And(p, Box(Or(q, Neg(p)))))
+        in_nnf = Dia(And(Neg(q), Box(p)))
+        got = nnf(not_nnf)
+        dual = dual_negate(in_nnf)
+        assert dual_negate(dual) is in_nnf
+        assert len(formulas._NODES) > before
+        del p, q, not_nnf, in_nnf, got, dual
+        assert len(formulas._NODES) == before
+    finally:
+        gc.enable()
+    # pickle and deepcopy return the interned node, forms held or not
+    f = Neg(Box(And(a, Var("no_cycle_r"))))
+    want = Dia(Or(Neg(a), Neg(Var("no_cycle_r"))))
+    assert nnf(f) is want and dual_negate(want) is nnf(f.child)
+    for g in (f, want):
+        assert pickle.loads(pickle.dumps(g)) is g
+        assert copy.deepcopy(g) is g
+    assert nnf(pickle.loads(pickle.dumps(f))) is want
 
 
 def test_dual_negate_golden():

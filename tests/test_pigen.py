@@ -10,7 +10,7 @@ from kprime import generate as generate_module
 from kprime.decision import _clause_entails, entails, equivalent, is_tautology
 from kprime.dnf import _delta_entries, delta_set, dnf4
 from kprime.families import FamilySpec, generate
-from kprime.formulas import dual_negate, fold_and, fold_or
+from kprime.formulas import Formula, dual_negate, fold_and, fold_or
 from kprime.generate import PiSet, _limit_case, gen_implicants, gen_pi, iter_pi
 from kprime.grammar import DefId, SyntacticKind, is_member, view4
 
@@ -131,8 +131,20 @@ def test_entry_table_bounds_clause_checks(monkeypatch):
         return real(l, r)
 
     monkeypatch.setattr(generate_module, "entails", counting)
+    built = []
+    real_new = Formula.__new__
+
+    def building(cls, *fields):
+        built.append(cls)
+        return real_new(cls, *fields)
+
+    # every node holds its NNF and dual once computed, so the checks
+    # rebuild no normal form: 3 849 nodes asked for, against 21 431 when
+    # each check walked its operands again
+    monkeypatch.setattr(Formula, "__new__", building)
     assert len(gen_pi(phi)) == 81
     assert len(clause_checks) == 648
+    assert len(built) <= 4000
 
 
 def test_delta_entries_not_reproved_satisfiable(monkeypatch):
