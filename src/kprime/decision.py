@@ -15,6 +15,13 @@ are interned formulas, so a lookup hashes no subtree.  The verdict walk
 passes over a disjunction with a side already on the branch: its choices
 would only add literals to a branch that satisfies it, and dropping
 literals never makes a branch unsatisfiable.
+
+On request the core also returns a tree model, as (names true at the
+root, child trees): the first branch that passes the memoized modal step,
+with one child per diamond of that branch built from the diamond's body
+and all box bodies.  Variables the root does not name are false, and the
+children are all the root's successors, so every literal of the branch
+holds at the root.  true_at_root evaluates an NNF formula on such a tree.
 """
 
 from __future__ import annotations
@@ -29,13 +36,10 @@ from .formulas import (
     Neg,
     Or,
     Var,
-    bottom,
     dual_negate,
     fold_and,
-    fold_or,
     nnf,
 )
-from .grammar import ClauseView4
 
 
 def surface_branches(g: Formula, skip_satisfied: bool = False):
@@ -102,6 +106,58 @@ def _sat_nnf(g: Formula) -> bool:
     return False
 
 
+def _model_nnf(g: Formula):
+    """A tree model of the NNF formula g, or None when g is unsatisfiable."""
+    for branch in surface_branches(g, skip_satisfied=True):
+        if _modal_sat(branch):
+            names = frozenset(p.name for p in branch if isinstance(p, Var))
+            chi = fold_and([p.child for p in branch if isinstance(p, Box)])
+            return names, tuple(_model_nnf(p.child if chi is None else And(p.child, chi))
+                                for p in branch if isinstance(p, Dia))
+    return None
+
+
+def countermodel(f: Formula | None, g: Formula):
+    """A tree model of f & !g (of !g when f is None), or None iff f |= g."""
+    neg = dual_negate(g)
+    return _model_nnf(neg if f is None else And(nnf(f), neg))
+
+
+def true_at_root(model, g: Formula) -> bool:
+    """Truth of the NNF formula g at the root of a tree model.
+
+    And and Or are walked on an explicit stack, each operand only while it
+    can still change the result, so only the modal operators recurse, one
+    level per child tree.
+    """
+    names, children = model
+    stack = []  # (And/Or node, whether its right operand is the one pending)
+    while True:
+        while isinstance(g, (And, Or)):
+            stack.append((g, False))
+            g = g.left
+        if isinstance(g, Var):
+            value = g.name in names
+        elif isinstance(g, Neg) and isinstance(g.child, Var):
+            value = g.child.name not in names
+        elif isinstance(g, Box):
+            value = all(true_at_root(c, g.child) for c in children)
+        elif isinstance(g, Dia):
+            value = any(true_at_root(c, g.child) for c in children)
+        else:
+            raise ValueError("true_at_root needs NNF input")
+        # close every open node whose value is now known
+        while stack:
+            node, on_right = stack.pop()
+            if on_right or value is isinstance(node, Or):
+                continue
+            stack.append((node, True))
+            g = node.right
+            break
+        else:
+            return value
+
+
 def sat(f: Formula) -> bool:
     """True iff f has a Kripke model."""
     return _sat_nnf(nnf(f))
@@ -118,28 +174,3 @@ def equivalent(f: Formula, g: Formula) -> bool:
 
 def is_tautology(f: Formula) -> bool:
     return not _sat_nnf(dual_negate(f))
-
-
-def clause_entails_fast(l: ClauseView4, r: ClauseView4) -> bool:
-    """Structural entailment between two D4 surface clauses.
-
-    Valid only when r is not tautologous (raises otherwise): l |= r iff
-    the propositional parts entail, the diamond disjunctions entail, and
-    every box body of l entails the diamonds of r plus one box body of r.
-    """
-    if is_tautology(r.assemble()):
-        raise ValueError("fast clause entailment needs a non-tautological right side")
-    return _clause_entails(l, r)
-
-
-def _clause_entails(l: ClauseView4, r: ClauseView4) -> bool:
-    """clause_entails_fast for a right side already known not tautologous."""
-    if not entails(fold_or(l.gammas, bottom()), fold_or(r.gammas, bottom())):
-        return False
-    if not entails(fold_or(l.diamonds, bottom()), fold_or(r.diamonds, bottom())):
-        return False
-    rdias = list(r.diamonds)
-    for chi in l.boxes:
-        if not any(entails(chi, fold_or(rdias + [chj])) for chj in r.boxes):
-            return False
-    return True

@@ -16,6 +16,14 @@ once, and a later one keeps i only if i entails it back.  A tautological
 candidate is entailed by every other one and never survives, since f
 itself is not a tautology; the picks entailing a non-tautological
 candidate are not tautologies either.
+
+The table's queries go to the sat core only when no countermodel found
+earlier in the same call settles them.  Each countermodel is kept once,
+as the mask of the entries true at its root.  A model refutes "e entails
+candidate i" when it makes e true and every entry of i false, and refutes
+that i is a tautology when it makes every entry of i false.  A query that
+no pooled model refutes asks the core for a countermodel, and one that
+comes back joins the pool.
 """
 
 from dataclasses import dataclass
@@ -24,7 +32,7 @@ from itertools import chain, product
 from math import prod
 from typing import Iterator
 
-from .decision import entails, is_tautology, sat
+from .decision import countermodel, is_tautology, sat, true_at_root
 from .dnf import _delta_entries, dnf4
 from .formulas import And, Dia, Formula, Neg, Or, Var, dual_negate, fold_or, metrics
 
@@ -67,18 +75,43 @@ def iter_pi(f: Formula) -> Iterator[Formula]:
     own = [sum({bit[e] for e in ps}) for ps in picks]
     strides = [prod(len(d) for d in deltas[t + 1:]) for t in range(len(deltas))]
 
+    # the countermodels found so far, each kept once as the mask of the
+    # entries true at its root
+    pool: list[int] = []
+
+    def learn(model) -> int:
+        pm = sum(b for e, b in bit.items() if true_at_root(model, e))
+        if pm not in pool:
+            pool.append(pm)
+        return pm
+
     @cache
     def entailers(i: int) -> int:
         # the entries that entail the non-tautological candidate i: its own
-        # disjuncts, and every other entry that entails it
+        # disjuncts, and every other entry that no countermodel refutes; a
+        # pooled model falsifying all of i refutes each entry true in it
+        o = s = own[i]
+        refuted = 0
+        for pm in pool:
+            if not pm & o:
+                refuted |= pm
         c = fold_or(picks[i])
-        return own[i] | sum(b for e, b in bit.items()
-                            if not b & own[i] and entails(e, c))
+        for e, b in bit.items():
+            if not b & (o | refuted):
+                model = countermodel(e, c)
+                if model is None:
+                    s |= b
+                else:
+                    refuted |= learn(model)
+        return s
 
     for i, ps in enumerate(picks):
         c = fold_or(ps)
-        if is_tautology(c):
-            continue
+        if all(pm & own[i] for pm in pool):
+            model = countermodel(None, c)
+            if model is None:
+                continue  # a tautology
+            learn(model)
         s = entailers(i)
         rows = [[k * st for k, e in enumerate(d) if bit[e] & s]
                 for d, st in zip(deltas, strides)]

@@ -12,7 +12,7 @@ the canonical (smallest, then leftmost) subset only when one does.
 
 from dataclasses import dataclass
 
-from .decision import entails, is_tautology, sat
+from .decision import countermodel, entails, is_tautology, sat, true_at_root
 from .dnf import dnf4
 from .formulas import (
     And,
@@ -109,6 +109,12 @@ def test_box_pi(chi: Formula, psis: list[Formula], phi_prime: Formula) -> bool:
         raise ValueError("tautologous box clause: %s" % clause)
     if not entails(phi_prime, clause):
         raise ValueError("not an implicate: %s" % clause)
+    return _box_pi(body, phi_prime)
+
+
+def _box_pi(body: Formula, phi_prime: Formula) -> bool:
+    # test_box_pi for a box(body) already known to be a non-tautological
+    # implicate of phi_prime
     for t in dnf4(phi_prime):
         beta = t.beta()
         if beta is None or entails(body, beta):
@@ -136,6 +142,10 @@ def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
     witness recovered, the first refuting subset by size, then
     lexicographically by position, by the same search bounded to each
     size in turn.
+
+    A cover query that fails comes with a countermodel of psi, which
+    refutes covering every subset of the members false at its root; a
+    query that such a model already refutes does not reach the core.
     """
     if not entails(phi, Dia(psi)):
         raise ValueError("not an implicate: <>%s" % psi)
@@ -147,13 +157,23 @@ def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
     if needs is None:
         return TestOutcome(True, 3, uni)
     covered: dict[int, bool] = {}
+    # one mask per countermodel of psi found so far: the members false at
+    # its root; such a model refutes covering every subset of them
+    falsified: list[int] = []
 
     def members(mask: int) -> tuple[Formula, ...]:
         return tuple(x for k, x in enumerate(xs) if mask >> k & 1)
 
     def covers(mask: int) -> bool:
         if mask not in covered:
-            covered[mask] = entails(psi, fold_or(list(members(mask)), bottom()))
+            if any(not mask & ~fm for fm in falsified):
+                covered[mask] = False
+            else:
+                model = countermodel(psi, fold_or(list(members(mask)), bottom()))
+                covered[mask] = model is None
+                if model is not None:
+                    falsified.append(sum(1 << k for k, x in enumerate(xs)
+                                         if not true_at_root(model, x)))
         return covered[mask]
 
     def reaches(mask: int) -> bool:
@@ -243,11 +263,14 @@ def test_pi_report(l: Formula, phi: Formula) -> TestOutcome:
     view = normalize_clause(view)
     if not test_prop_pi(view, phi):
         return TestOutcome(False, 4)
+    # phi entails l and l is no tautology, so each box(body) below is a
+    # non-tautological implicate of its phi_prime
     psis = list(view.diamonds)
+    not_psis = [dual_negate(p) for p in psis]
     for chi in view.boxes:
         rest = [p for p in view.parts if p != Box(chi)]
         phi_prime = And(phi, dual_negate(fold_or(rest))) if rest else phi
-        if not test_box_pi(chi, psis, phi_prime):
+        if not _box_pi(fold_and([chi] + not_psis), phi_prime):
             return TestOutcome(False, 5)
     if psis:
         rest = [p for p in view.parts if not isinstance(p, Dia)]

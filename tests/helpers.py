@@ -1,12 +1,14 @@
-"""Shared generators for the randomized test suites."""
+"""Shared generators and reference checks for the randomized test suites."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, product
 
 from kprime.cli import main as cli_main
+from kprime.decision import entails, is_tautology
 from kprime.families import QbfInstance, XcInstance
-from kprime.formulas import And, Box, Dia, Neg, Or, Var, nnf
+from kprime.formulas import And, Box, Dia, Neg, Or, Var, bottom, fold_or, nnf
+from kprime.grammar import ClauseView4
 from kprime.semantics import KripkeModel
 
 
@@ -162,3 +164,28 @@ def random_model(rng, names, max_worlds=4, arc_p=0.4):
         w: {x for x in names if rng.random() < 0.5} for w in worlds
     }
     return KripkeModel(worlds, arcs, val)
+
+
+def clause_entails_fast(l: ClauseView4, r: ClauseView4) -> bool:
+    """Structural entailment between two D4 surface clauses.
+
+    Valid only when r is not tautologous (raises otherwise): l |= r iff
+    the propositional parts entail, the diamond disjunctions entail, and
+    every box body of l entails the diamonds of r plus one box body of r.
+    """
+    if is_tautology(r.assemble()):
+        raise ValueError("fast clause entailment needs a non-tautological right side")
+    return _clause_entails(l, r)
+
+
+def _clause_entails(l: ClauseView4, r: ClauseView4) -> bool:
+    """clause_entails_fast for a right side already known not tautologous."""
+    if not entails(fold_or(l.gammas, bottom()), fold_or(r.gammas, bottom())):
+        return False
+    if not entails(fold_or(l.diamonds, bottom()), fold_or(r.diamonds, bottom())):
+        return False
+    rdias = list(r.diamonds)
+    for chi in l.boxes:
+        if not any(entails(chi, fold_or(rdias + [chj])) for chj in r.boxes):
+            return False
+    return True

@@ -10,7 +10,6 @@ from itertools import combinations
 
 from kprime import recognize as rec
 from kprime.decision import (
-    clause_entails_fast,
     entails,
     equivalent,
     is_tautology,
@@ -47,6 +46,7 @@ from kprime.semantics import sat_bruteforce
 from helpers import (
     all_qbf_instances,
     all_xc_instances,
+    clause_entails_fast,
     cover_exists,
     random_formula,
     random_nnf,

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from functools import lru_cache
 
@@ -5,20 +7,24 @@ import pytest
 
 from kprime import decision
 from kprime.decision import (
-    clause_entails_fast,
     entails,
     equivalent,
     is_tautology,
     sat,
     surface_branches,
+    true_at_root,
 )
-from kprime.families import qbf_encode, qbf_valid_bruteforce
+from kprime import semantics
+from kprime.dnf import _delta_entries, dnf4
+from kprime.families import FamilySpec, generate, qbf_encode, qbf_valid_bruteforce
 from kprime.formulas import And, Box, Dia, Neg, Or, Var, fold_and, fold_or, nnf
 from kprime.grammar import SyntacticKind, view4
 from kprime.parser import parse
-from kprime.semantics import sat_bruteforce
+from kprime.semantics import KripkeModel, holds, sat_bruteforce
 
 from helpers import (
+    all_qbf_instances,
+    clause_entails_fast,
     random_formula,
     random_nnf,
     random_prop_lit,
@@ -403,3 +409,100 @@ def test_fast_clause_entailment_agreement():
         checked += 1
         assert clause_entails_fast(cv(l), rv) == entails(l, r), "%s vs %s" % (l, r)
     assert checked > 300
+
+
+def _kripke(tree):
+    # a tree model of the core as a Kripke model rooted at world "0"
+    worlds, arcs, val = [], [], {}
+    todo = [("0", tree)]
+    while todo:
+        w, (names, children) = todo.pop()
+        worlds.append(w)
+        val[w] = names
+        for k, child in enumerate(children):
+            u = "%s.%d" % (w, k)
+            arcs.append((w, u))
+            todo.append((u, child))
+    return KripkeModel(worlds, arcs, val)
+
+
+def _model_fixtures():
+    rng = random.Random(91)
+    out = [random_formula(rng, "abc", rng.randint(0, 3), rng.randint(1, 12))
+           for _ in range(300)]
+    specs = [FamilySpec("thm18", n=n) for n in range(1, 5)]
+    specs += [FamilySpec("thm21", n=n) for n in (1, 2)]
+    for spec in specs:
+        phi, dist = generate(spec)
+        # each distinguished clause is an implicate, so phi & !lam is not
+        # satisfiable, while phi & !lam' for a neighbour usually is
+        out.append(phi)
+        out += [And(phi, Neg(lam)) for lam in dist]
+        out += [And(phi, Neg(Or(lam, dist[0]))) for lam in dist[1:]]
+    out += [qbf_encode(q) for q in all_qbf_instances()]
+    out += [qbf_encode(random_qbf(random.Random(seed), 4)) for seed in range(4)]
+    return out
+
+
+def test_core_models_satisfy_their_formula():
+    # the independent oracle: semantics.holds on the tree as a Kripke model
+    verdicts = set()
+    seen = set()
+    for g in _model_fixtures():
+        model = decision._model_nnf(nnf(g))
+        verdicts.add(model is not None)
+        assert (model is None) == (not sat(g)), g
+        if model is None:
+            continue
+        k = _kripke(model)
+        assert holds(k, "0", g), g
+        assert true_at_root(model, nnf(g)), g
+        for t in dnf4(g):
+            for e in _delta_entries(t):
+                want = holds(k, "0", e)
+                assert true_at_root(model, e) == want, (g, e)
+                seen.add(want)
+    assert verdicts == seen == {True, False}
+
+
+def test_countermodel_refutes_entailment():
+    rng = random.Random(92)
+    for _ in range(200):
+        f = random_formula(rng, "abc", rng.randint(0, 2), rng.randint(1, 8))
+        g = random_formula(rng, "abc", rng.randint(0, 2), rng.randint(1, 8))
+        for premise in (f, None):
+            model = decision.countermodel(premise, g)
+            assert (model is None) == (entails(f, g) if premise else is_tautology(g))
+            if model is not None:
+                k = _kripke(model)
+                assert not holds(k, "0", g)
+                assert premise is None or holds(k, "0", premise)
+
+
+def test_true_at_root_walks_wide_bodies_without_recursion():
+    # operands 10^4 deep in one And or Or chain, under the default
+    # recursion limit: only the modal operators may recurse
+    n = 10 ** 4
+    xs = [Var("v%d" % i) for i in range(n)]
+    model = (frozenset(), ((frozenset(x.name for x in xs[:-1]), ()),))
+    assert not true_at_root(model, Dia(fold_and(xs)))
+    assert true_at_root(model, Box(fold_and(xs[:-1])))
+    left = xs[-1]
+    for _ in range(n):
+        left = Or(left, Neg(xs[0]))
+    assert not true_at_root(model, Dia(left))
+    assert true_at_root(model, Box(Or(left, xs[0])))
+    with pytest.raises(ValueError):
+        true_at_root(model, Neg(And(xs[0], xs[1])))
+
+
+def test_semantics_is_independent_of_the_core():
+    tree = ast.parse(inspect.getsource(semantics))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert not any("decision" in name for name in imported)

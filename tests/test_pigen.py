@@ -7,14 +7,14 @@ from kprime import And, Box, Dia, Neg, Or, Var, bottom, metrics, parse, top
 from kprime import decision
 from kprime import dnf as dnf_module
 from kprime import generate as generate_module
-from kprime.decision import _clause_entails, entails, equivalent, is_tautology
+from kprime.decision import entails, equivalent, is_tautology
 from kprime.dnf import _delta_entries, delta_set, dnf4
 from kprime.families import FamilySpec, generate
 from kprime.formulas import Formula, dual_negate, fold_and, fold_or
 from kprime.generate import PiSet, _limit_case, gen_implicants, gen_pi, iter_pi
 from kprime.grammar import DefId, SyntacticKind, is_member, view4
 
-from helpers import random_formula
+from helpers import _clause_entails, random_formula
 
 a, b, c, d, e, f = (Var(n) for n in "abcdef")
 
@@ -117,20 +117,23 @@ def test_entry_table_matches_all_pairs_filter():
             dual_negate(l) for l in _all_pairs_pi(dual_negate(g)))
 
 
-def test_entry_table_bounds_clause_checks(monkeypatch):
+def test_entry_pool_bounds_core_calls(monkeypatch):
     # thm21 n=2: 81 candidates over 12 distinct entries, 4 of them each
-    # candidate's own.  The entry table checks every other entry against
-    # each candidate once: 8 * 81 = 648 entailment checks, against 6480
-    # clause checks for the all-pairs filter.
+    # candidate's own.  The entry table asks whether each other entry
+    # entails each candidate, 648 queries, and each candidate needs a
+    # tautology check, 81 more.  A countermodel found for one query
+    # refutes every later query whose entry it makes true and whose
+    # candidate it makes false, so the core is asked 12 entailment queries
+    # and 1 tautology query.
     phi, _ = generate(FamilySpec("thm21", n=2))
-    clause_checks = []
-    real = generate_module.entails
+    queries = []
+    real = generate_module.countermodel
 
     def counting(l, r):
-        clause_checks.append((l, r))
+        queries.append(l)
         return real(l, r)
 
-    monkeypatch.setattr(generate_module, "entails", counting)
+    monkeypatch.setattr(generate_module, "countermodel", counting)
     built = []
     real_new = Formula.__new__
 
@@ -138,13 +141,13 @@ def test_entry_table_bounds_clause_checks(monkeypatch):
         built.append(cls)
         return real_new(cls, *fields)
 
-    # every node holds its NNF and dual once computed, so the checks
-    # rebuild no normal form: 3 849 nodes asked for, against 21 431 when
-    # each check walked its operands again
+    # 703 nodes asked for, against 3 849 when each of the 648 queries
+    # built its own entailment check
     monkeypatch.setattr(Formula, "__new__", building)
     assert len(gen_pi(phi)) == 81
-    assert len(clause_checks) == 648
-    assert len(built) <= 4000
+    assert sum(l is not None for l in queries) == 12
+    assert sum(l is None for l in queries) == 1
+    assert len(built) <= 1000
 
 
 def test_delta_entries_not_reproved_satisfiable(monkeypatch):

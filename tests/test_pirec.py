@@ -6,6 +6,7 @@ import pytest
 from kprime import And, Box, Dia, Neg, Or, Var, bottom, parse
 from kprime.decision import entails, equivalent, is_tautology, sat
 from kprime.dnf import delta_set, dnf4
+from kprime.families import FamilySpec, generate
 from kprime.formulas import dual_negate, fold_and, fold_or
 from kprime.generate import gen_pi
 from kprime.grammar import GrammarError, SyntacticKind, view4
@@ -444,20 +445,44 @@ def test_dia_pi_streams_terms_once_and_entails_linearly(monkeypatch):
     entailments = []
     real_dnf4 = rec.dnf4
     real_entails = rec.entails
+    real_countermodel = rec.countermodel
 
     def counting_dnf4(f):
         streams.append(f)
         assert len(streams) == 1, "dnf4 streamed more than once"
         return real_dnf4(f)
 
-    def counting_entails(f, g):
-        entailments.append((f, g))
-        assert len(entailments) <= 2 * n, "entails called more than 2n times"
-        return real_entails(f, g)
+    def counting(real):
+        # an entailment check, whether or not it asks for a countermodel
+        def check(f, g):
+            entailments.append((f, g))
+            assert len(entailments) <= 2 * n, "entailment checked more than 2n times"
+            return real(f, g)
+        return check
 
     monkeypatch.setattr(rec, "dnf4", counting_dnf4)
-    monkeypatch.setattr(rec, "entails", counting_entails)
+    monkeypatch.setattr(rec, "entails", counting(real_entails))
+    monkeypatch.setattr(rec, "countermodel", counting(real_countermodel))
     out = rec.test_dia_pi_report(Var("a0"), phi)
     assert (out.verdict, out.step) == (True, 3)
     assert len(out.witness.x_set) == n
     assert len(streams) == 1
+
+
+def test_cover_pool_bounds_core_calls(monkeypatch):
+    # thm21 n=2, distinguished clause 9: the diamond subtest asks 116
+    # distinct cover queries psi |= \/S.  A countermodel of one refutes
+    # every S among the members it falsifies, so the core is asked 68 of
+    # them: the 64 that hold, which no model decides, and 4 that fail.
+    phi, dist = generate(FamilySpec("thm21", n=2))
+    queries = []
+    real = rec.countermodel
+
+    def counting(f, g):
+        queries.append(g)
+        return real(f, g)
+
+    monkeypatch.setattr(rec, "countermodel", counting)
+    out = rec.test_pi_report(dist[9], phi)
+    assert (out.verdict, out.step) == (True, 6)
+    assert len(queries) == 68
