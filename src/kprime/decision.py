@@ -9,19 +9,21 @@ pushes a choice point (its right side with that rest, and the branch
 length) on an undo stack; backtracking pops literals back to that length.
 Each propositionally consistent branch
 gamma & <>psi_1 & ... & []chi_1 & ... & []chi_n is satisfiable iff every
-psi_i & chi_1 & ... & chi_n is, one modal level down.  Verdicts of the
-modal recursion are memoized across calls in a bounded LRU cache; its keys
-are interned formulas, so a lookup hashes no subtree.  The verdict walk
-passes over a disjunction with a side already on the branch: its choices
-would only add literals to a branch that satisfies it, and dropping
-literals never makes a branch unsatisfiable.
+psi_i & chi_1 & ... & chi_n is, one modal level down.  The walk passes
+over a disjunction with a side already on the branch: its choices would
+only add literals to a branch that satisfies it, and dropping literals
+never makes a branch unsatisfiable.
 
-On request the core also returns a tree model, as (names true at the
-root, child trees): the first branch that passes the memoized modal step,
-with one child per diamond of that branch built from the diamond's body
-and all box bodies.  Variables the root does not name are false, and the
-children are all the root's successors, so every literal of the branch
-holds at the root.  true_at_root evaluates an NNF formula on such a tree.
+The one core, _model_nnf, returns a tree model, as (names true at the
+root, child trees), or None when the formula is unsatisfiable: the first
+branch whose modal step passes, with one child per diamond of that branch
+built from the diamond's body and all box bodies.  Variables the root does
+not name are false, and the children are all the root's successors, so
+every literal of the branch holds at the root.  Its results, models or
+None, are memoized across calls in a bounded LRU cache keyed on interned
+formulas, so a lookup hashes no subtree; sat, entails and countermodel all
+read it, and a cached model is shared by every tree that holds it as a
+child.  true_at_root evaluates an NNF formula on such a tree.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def surface_branches(g: Formula, skip_satisfied: bool = False):
     surface literals (variables, negated variables, boxes, diamonds) in
     source order. Propositionally clashing branches are pruned; duplicate
     literals collapse to their first occurrence.  skip_satisfied, passed
-    by _sat_nnf only, passes over an Or with a side already on the branch."""
+    by _model_nnf only, passes over an Or with a side already on the branch."""
     branch: dict[Formula, str | None] = {}  # literal -> its variable name
     sign: dict[str, bool] = {}
     choices = []  # (rest of the walk at an Or's right side, branch length)
@@ -88,32 +90,30 @@ def surface_branches(g: Formula, skip_satisfied: bool = False):
                 del sign[name]
 
 
-def _modal_sat(branch) -> bool:
+def _children(branch):
     """The modal step for one propositionally consistent surface branch:
-    it is satisfiable iff every diamond body & all box bodies is."""
+    the models of each diamond body & all box bodies, () when the branch
+    has no diamond, or None as soon as one of them is unsatisfiable."""
     dias = [p.child for p in branch if isinstance(p, Dia)]
     if not dias:
-        return True
+        return ()
     chi = fold_and([p.child for p in branch if isinstance(p, Box)])
-    return all(map(_sat_nnf, [p if chi is None else And(p, chi) for p in dias]))
+    children = []
+    for p in dias:
+        model = _model_nnf(p if chi is None else And(p, chi))
+        if model is None:
+            return None
+        children.append(model)
+    return tuple(children)
 
 
 @lru_cache(maxsize=1 << 18)
-def _sat_nnf(g: Formula) -> bool:
-    for branch in surface_branches(g, skip_satisfied=True):
-        if _modal_sat(branch):
-            return True
-    return False
-
-
 def _model_nnf(g: Formula):
     """A tree model of the NNF formula g, or None when g is unsatisfiable."""
     for branch in surface_branches(g, skip_satisfied=True):
-        if _modal_sat(branch):
-            names = frozenset(p.name for p in branch if isinstance(p, Var))
-            chi = fold_and([p.child for p in branch if isinstance(p, Box)])
-            return names, tuple(_model_nnf(p.child if chi is None else And(p.child, chi))
-                                for p in branch if isinstance(p, Dia))
+        children = _children(branch)
+        if children is not None:
+            return frozenset(p.name for p in branch if isinstance(p, Var)), children
     return None
 
 
@@ -160,12 +160,12 @@ def true_at_root(model, g: Formula) -> bool:
 
 def sat(f: Formula) -> bool:
     """True iff f has a Kripke model."""
-    return _sat_nnf(nnf(f))
+    return _model_nnf(nnf(f)) is not None
 
 
 def entails(f: Formula, g: Formula) -> bool:
     """Local consequence f |= g, decided as unsatisfiability of f & !g."""
-    return not _sat_nnf(And(nnf(f), dual_negate(g)))
+    return countermodel(f, g) is None
 
 
 def equivalent(f: Formula, g: Formula) -> bool:
@@ -173,4 +173,4 @@ def equivalent(f: Formula, g: Formula) -> bool:
 
 
 def is_tautology(f: Formula) -> bool:
-    return not _sat_nnf(dual_negate(f))
+    return countermodel(None, f) is None

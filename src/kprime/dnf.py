@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decision import _modal_sat, sat, surface_branches
+from .decision import _children, sat, surface_branches
 from .formulas import _RESERVED_LITS, And, Box, Dia, Formula, dual_negate, nnf
 from .grammar import TermView4, _split4
 
@@ -26,7 +26,7 @@ def dnf4(f: Formula):
         if parts in seen:
             continue
         seen.add(parts)
-        if _modal_sat(parts):
+        if _children(parts) is not None:
             yield TermView4(*_split4(parts), parts)
 
 

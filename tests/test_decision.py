@@ -48,13 +48,47 @@ def test_sat_examples():
 
 
 def test_diamond_chain_depth():
-    # Every modal level of the sat recursion costs a few frames, the memo
-    # wrapper's included; this depth must pass under the default limit.
-    leaf = Var("chain_leaf")
+    # Every modal level of the core costs a few frames, the memo wrapper's
+    # included; this depth must pass under the default limit, on each
+    # entry point, with the memo cleared so that each walks the whole chain.
+    leaf, other = Var("chain_leaf"), Var("chain_other")
     for f, want in ((leaf, True), (And(leaf, Neg(leaf)), False)):
         for _ in range(230):
             f = Dia(f)
-        assert sat(f) is want
+        for got in (
+            lambda: sat(f),
+            lambda: decision.countermodel(f, other) is not None,
+            lambda: not entails(f, other),
+        ):
+            decision._model_nnf.cache_clear()
+            assert got() is want
+
+
+def test_one_walk_per_subformula(monkeypatch):
+    # sat, entails and countermodel share one memo of models: a query
+    # walks each new subformula once, a repeated query walks nothing, and
+    # a countermodel after sat walks only its own root
+    walks = []
+    real = decision.surface_branches
+
+    def counting(g, skip_satisfied=False):
+        walks.append(g)
+        return real(g, skip_satisfied)
+
+    monkeypatch.setattr(decision, "surface_branches", counting)
+    decision._model_nnf.cache_clear()
+    f = a
+    for _ in range(10):
+        f = Dia(And(f, b))
+    for want in (11, 0):
+        walks.clear()
+        assert decision.countermodel(f, Var("zz")) is not None
+        assert len(walks) == want
+    g = parse("<>(a & <>b) & [](c | <>d) & (e | <>f)")
+    assert sat(g)
+    walks.clear()
+    assert decision.countermodel(g, Var("zz")) is not None
+    assert len(walks) == 1
 
 
 def test_entails_examples():
@@ -237,14 +271,14 @@ def test_qbf_modal_checks(monkeypatch):
     # the default stream re-derives one branch assignment many times:
     # 25 646 branches and 446 distinct modal checks on this instance
     calls = []
-    modal_sat = decision._modal_sat
+    children = decision._children
 
     def counted(branch):
         calls.append(branch)
-        return modal_sat(branch)
+        return children(branch)
 
-    monkeypatch.setattr(decision, "_modal_sat", counted)
-    decision._sat_nnf.cache_clear()
+    monkeypatch.setattr(decision, "_children", counted)
+    decision._model_nnf.cache_clear()
     q = random_qbf(random.Random(1), 4)
     assert sat(qbf_encode(q)) is False
     assert len(calls) <= 100

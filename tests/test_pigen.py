@@ -1,10 +1,8 @@
 import random
 from functools import cache
 from itertools import product
-from math import prod
 
 from kprime import And, Box, Dia, Neg, Or, Var, bottom, metrics, parse, top
-from kprime import decision
 from kprime import dnf as dnf_module
 from kprime import generate as generate_module
 from kprime.decision import entails, equivalent, is_tautology
@@ -51,23 +49,6 @@ def test_iterative_matches_eager():
         fixtures.append(random_formula(rng, "abc", rng.randint(0, 2), rng.randint(1, 8)))
     for g in fixtures:
         assert tuple(iter_pi(g)) == gen_pi(g).clauses
-
-
-def test_each_candidate_checked_once_for_tautology(monkeypatch):
-    phi, _ = generate(FamilySpec("thm21", n=2))
-    candidates = prod(len(delta_set(t).entries) for t in dnf4(phi))
-    checked = []
-    real = decision.is_tautology
-
-    def counting(g):
-        checked.append(g)
-        return real(g)
-
-    monkeypatch.setattr(decision, "is_tautology", counting)
-    monkeypatch.setattr(generate_module, "is_tautology", counting)
-    gen_pi(phi)
-    # the limit-case check on phi, then one check per candidate
-    assert len(checked) <= candidates + 1
 
 
 def _all_pairs_pi(f):
@@ -124,7 +105,8 @@ def test_entry_pool_bounds_core_calls(monkeypatch):
     # tautology check, 81 more.  A countermodel found for one query
     # refutes every later query whose entry it makes true and whose
     # candidate it makes false, so the core is asked 12 entailment queries
-    # and 1 tautology query.
+    # and 1 tautology query.  is_tautology itself is called once, on phi,
+    # for the limit cases.
     phi, _ = generate(FamilySpec("thm21", n=2))
     queries = []
     real = generate_module.countermodel
@@ -134,6 +116,14 @@ def test_entry_pool_bounds_core_calls(monkeypatch):
         return real(l, r)
 
     monkeypatch.setattr(generate_module, "countermodel", counting)
+    checked = []
+    real_taut = generate_module.is_tautology
+
+    def checking(g):
+        checked.append(g)
+        return real_taut(g)
+
+    monkeypatch.setattr(generate_module, "is_tautology", checking)
     built = []
     real_new = Formula.__new__
 
@@ -147,6 +137,7 @@ def test_entry_pool_bounds_core_calls(monkeypatch):
     assert len(gen_pi(phi)) == 81
     assert sum(l is not None for l in queries) == 12
     assert sum(l is None for l in queries) == 1
+    assert checked == [phi]
     assert len(built) <= 1000
 
 
