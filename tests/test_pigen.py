@@ -1,8 +1,10 @@
 import random
 from functools import cache
 from itertools import product
+from math import prod
 
 from kprime import And, Box, Dia, Neg, Or, Var, bottom, metrics, parse, top
+from kprime import decision
 from kprime import dnf as dnf_module
 from kprime import generate as generate_module
 from kprime.decision import entails, equivalent, is_tautology
@@ -49,6 +51,31 @@ def test_iterative_matches_eager():
         fixtures.append(random_formula(rng, "abc", rng.randint(0, 2), rng.randint(1, 8)))
     for g in fixtures:
         assert tuple(iter_pi(g)) == gen_pi(g).clauses
+
+
+def test_each_candidate_checked_once_for_tautology(monkeypatch):
+    phi, _ = generate(FamilySpec("thm21", n=2))
+    candidates = prod(len(delta_set(t).entries) for t in dnf4(phi))
+    checked = []
+    real = decision.is_tautology
+    real_cm = generate_module.countermodel
+
+    def counting(g):
+        checked.append(g)
+        return real(g)
+
+    def counting_cm(l, r):
+        # a query with no left side asks whether r is a tautology
+        if l is None:
+            checked.append(r)
+        return real_cm(l, r)
+
+    monkeypatch.setattr(decision, "is_tautology", counting)
+    monkeypatch.setattr(generate_module, "is_tautology", counting)
+    monkeypatch.setattr(generate_module, "countermodel", counting_cm)
+    gen_pi(phi)
+    # the limit-case check on phi, then at most one check per candidate
+    assert len(checked) <= candidates + 1
 
 
 def _all_pairs_pi(f):
