@@ -4,7 +4,7 @@ structured D4 clause/term views used by the decomposition algorithms.
 The production table _GRAMMAR is the one place the D1-D5 definitions
 live. Every nonterminal has at most one production per node kind, so a
 formula is checked top-down by one explicit-stack walk, _derives, which
-is_member, is_nnf and view4 all call.
+is_member and view4 both call.
 """
 
 from __future__ import annotations
@@ -117,10 +117,6 @@ def _derives(f, nonterminal: str) -> bool:
         else:
             todo.append((g.child, child))
     return True
-
-
-def is_nnf(f) -> bool:
-    return _derives(f, "nnf")
 
 
 def is_member(f: Formula, d: DefId, k: SyntacticKind) -> bool:

@@ -9,8 +9,16 @@ Grammar (whitespace insensitive), the specification that parse implements:
     atom    := IDENT | "true" | "false" | "(" formula ")"
     IDENT   := [a-z_][a-zA-Z0-9_]*       except the reserved `_c`
 
-parse reads the tokens in one loop and keeps what still waits for its
-right operand on an explicit stack, so deep nesting needs no recursion.
+parse gets its token strings from one re.findall call, in which any
+non-space character that starts no token is a one-character token of its
+own. One loop reads them, picks each token's action by a dict lookup on
+its string, and keeps what still waits for its right operand on an
+explicit stack, so deep nesting needs no recursion.
+
+No offsets are kept while parsing. On an error, _tokenize scans the text
+again with each token's position; it reports the first illegal
+character if there is one anywhere, and otherwise parse reports the
+failing token (or the end of input) at its byte offset.
 """
 
 from __future__ import annotations
@@ -37,8 +45,6 @@ class ReservedNameError(ParseError):
 _IDENT = r"[a-z_][a-zA-Z0-9_]*"
 
 _TOKEN = re.compile(r"\s*(?:(?P<ident>%s)|(?P<op>\[\]|<>|->|[!&|()]))" % _IDENT)
-
-_UNARY = {"!": Neg, "[]": Box, "<>": Dia}
 
 
 def is_variable_name(name: str) -> bool:
@@ -80,55 +86,68 @@ def _implies(left: Formula, right: Formula) -> Formula:
     return Or(Neg(left), right)
 
 
+# every token string in text order: an identifier, an operator, or any
+# other non-space character, which no rule of the grammar accepts
+_SCAN = re.compile(r"(%s|\[\]|<>|->|[!&|()]|\S)" % _IDENT)
+_IDENT_START = "abcdefghijklmnopqrstuvwxyz_"  # the [a-z_] of _IDENT
+_END = " "  # the token parse appends for the end of input; no token is a space
+
 # strength and builder of each binary operator; all three group to the
 # right, and a prefix operator binds tighter than any of them
 _BINARY = {"->": (1, _implies), "|": (2, Or), "&": (3, And)}
 _PREFIX = 4
+# what an open parenthesis or a prefix operator pushes onto the stack
+_OPENERS = {"(": (0, None, None), "!": (_PREFIX, Neg, None),
+            "[]": (_PREFIX, Box, None), "<>": (_PREFIX, Dia, None)}
+_CONSTANTS = {"true": top, "false": bottom}
 _OPERAND = ("identifier", "true", "false", "!", "[]", "<>", "(")
 
 
-def _fail(text: str, token, expected) -> NoReturn:
-    kind, value, charpos = token
+def _fail(text: str, index: int, expected) -> NoReturn:
+    # Offsets are found only here, by the full scanner. It raises first if
+    # any character of text starts no token; otherwise the index-th token,
+    # or the end of input, is the culprit, and the reserved name where an
+    # operand is expected has an error of its own.
+    kind, value, charpos = _tokenize(text)[index]
+    offset = _byte_offset(text, charpos)
+    if value == RESERVED and expected is _OPERAND:
+        raise ReservedNameError("variable name %r is reserved" % RESERVED, offset)
     what = "end of input" if kind == "eof" else repr(value)
-    raise ParseError("unexpected %s" % what, _byte_offset(text, charpos), expected)
+    raise ParseError("unexpected %s" % what, offset, expected)
 
 
 def parse(text: str) -> Formula:
     """Parse a formula; raises ParseError with a byte offset on bad input."""
+    tokens = _SCAN.findall(text)
+    tokens.append(_END)
     # (strength, builder, left operand) of each open parenthesis (strength
     # 0, no builder), prefix operator (no left operand) and binary operator
     # that still waits for its right operand
     ops = []
     f = None  # the operand just completed; None while one is expected
-    for token in _tokenize(text):
-        kind, value, charpos = token
+    for i, token in enumerate(tokens):
         if f is None:
-            if kind == "ident":
-                if value == RESERVED:
-                    raise ReservedNameError(
-                        "variable name %r is reserved" % RESERVED,
-                        _byte_offset(text, charpos),
-                    )
-                f = top() if value == "true" else bottom() if value == "false" else Var(value)
-            elif value == "(":
-                ops.append((0, None, None))
-            elif value in _UNARY:
-                ops.append((_PREFIX, _UNARY[value], None))
+            opener = _OPENERS.get(token)
+            if opener is not None:
+                ops.append(opener)
+            elif token[0] not in _IDENT_START or token == RESERVED:
+                _fail(text, i, _OPERAND)
             else:
-                _fail(text, token, _OPERAND)
+                make = _CONSTANTS.get(token)
+                f = Var(token) if make is None else make()
             continue
         # build what binds tighter than the next token; ")", the end of
         # input and a misplaced token bind loosest of all, so after them
         # ops is empty or ends in an open parenthesis
-        strength, build = _BINARY.get(value, (0, None))
+        strength, build = _BINARY.get(token, (0, None))
         while ops and ops[-1][0] > strength:
             _, make, left = ops.pop()
             f = make(f) if left is None else make(left, f)
         if build is not None:
             ops.append((strength, build, f))
             f = None
-        elif value == ")" and ops:
+        elif token == ")" and ops:
             ops.pop()
-        elif ops or kind != "eof":
-            _fail(text, token, ("&", "|", "->", ")" if ops else "end of input"))
+        elif ops or token is not _END:
+            _fail(text, i, ("&", "|", "->", ")" if ops else "end of input"))
     return f

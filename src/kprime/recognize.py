@@ -122,10 +122,6 @@ def _box_pi(body: Formula, phi_prime: Formula) -> bool:
     return False
 
 
-def test_dia_pi(psi: Formula, phi: Formula) -> bool:
-    return test_dia_pi_report(psi, phi).verdict
-
-
 def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
     """Prime test for a diamond clause, with the refuting subset if any.
 

@@ -8,7 +8,8 @@ from kprime.cli import main as cli_main
 from kprime.decision import entails, is_tautology
 from kprime.families import QbfInstance, XcInstance
 from kprime.formulas import And, Box, Dia, Neg, Or, Var, bottom, fold_or, nnf
-from kprime.grammar import ClauseView4
+from kprime.grammar import ClauseView4, _derives
+from kprime.recognize import test_dia_pi_report
 from kprime.semantics import KripkeModel
 
 
@@ -189,3 +190,14 @@ def _clause_entails(l: ClauseView4, r: ClauseView4) -> bool:
         if not any(entails(chi, fold_or(rdias + [chj])) for chj in r.boxes):
             return False
     return True
+
+
+def is_nnf(f) -> bool:
+    """Whether f derives from the grammar's NNF nonterminal: a Neg sits
+    only directly over a variable."""
+    return _derives(f, "nnf")
+
+
+def dia_pi_verdict(psi, phi) -> bool:
+    """Whether <>psi is a prime implicate of phi, by the diamond subtest."""
+    return test_dia_pi_report(psi, phi).verdict

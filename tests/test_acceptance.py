@@ -48,6 +48,7 @@ from helpers import (
     all_xc_instances,
     clause_entails_fast,
     cover_exists,
+    dia_pi_verdict,
     random_formula,
     random_nnf,
     random_qbf3,
@@ -152,7 +153,7 @@ def test_criterion_03_diamond_subtest_goldens():
     subset = report.witness.subset
     assert subset and set(subset) <= set(report.witness.x_set)
     assert _subset_refutes(subset, And(a, b), phi)
-    assert rec.test_dia_pi(And(a, And(b, c)), parse(PHI31))
+    assert dia_pi_verdict(And(a, And(b, c)), parse(PHI31))
     print("criterion 03: PASS")
 
 

@@ -24,12 +24,11 @@ from kprime.grammar import (
     SyntacticKind,
     TermView4,
     is_member,
-    is_nnf,
     view4,
 )
 from kprime.parser import parse
 
-from helpers import random_formula, run_cli
+from helpers import is_nnf, random_formula, run_cli
 
 a, b = Var("a"), Var("b")
 L, C, T = SyntacticKind.LITERAL, SyntacticKind.CLAUSE, SyntacticKind.TERM

@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 
-from kprime.formulas import (And, Box, Dia, Neg, Or, RESERVED, Var, bottom,
-                             fold_and, fold_or, top, unparse)
-from kprime.parser import (ParseError, ReservedNameError, _byte_offset,
+from kprime.formulas import (And, Box, Dia, Metrics, Neg, Or, RESERVED, Var,
+                             bottom, fold_and, fold_or, metrics, top, unparse)
+from kprime.parser import (_SCAN, ParseError, ReservedNameError, _byte_offset,
                            _tokenize, parse)
 
 from helpers import random_formula
@@ -243,3 +244,69 @@ def test_parse_matches_reference():
         parsed += type(got) is not tuple
     # both kinds of outcome are well represented
     assert 3000 < parsed < len(texts) - 3000
+
+
+def reference_texts():
+    """The texts of test_parse_matches_reference, drawn the same way."""
+    rng = random.Random(9)
+    texts = [unparse(random_formula(rng, ["a", "b", "c"], rng.randint(0, 3), rng.randint(1, 40)))
+             for _ in range(1500)]
+    texts += [drop_parentheses(rng, text) for text in texts]
+    texts += ["".join(rng.choice(_TOKENS) + rng.choice(("", " ", "\t\n"))
+                      for _ in range(rng.randint(0, 12)))
+              for _ in range(6000)]
+    return texts
+
+
+def test_scan_matches_tokenize():
+    # parse reads the token strings of one findall; wherever the full
+    # scanner finds no illegal character, they are the scanner's tokens
+    scanned = 0
+    for text in reference_texts():
+        try:
+            want = [value for _, value, _ in _tokenize(text)[:-1]]
+        except ParseError:
+            continue
+        assert _SCAN.findall(text) == want, text
+        scanned += 1
+    assert scanned > 7000
+
+
+@pytest.mark.parametrize("text, error, message", [
+    # an illegal character anywhere is reported before an earlier token
+    # out of place, and before the reserved name
+    ("a a $", ParseError, "unexpected character '$' at offset 4"),
+    ("_c & $", ParseError, "unexpected character '$' at offset 5"),
+    ("a a \u00e9", ParseError, "unexpected character '\u00e9' at offset 4"),
+    ("_c & a", ReservedNameError, "variable name '_c' is reserved at offset 0"),
+    # offsets count UTF-8 bytes, and Unicode spaces are whitespace
+    ("a\u3000&", ParseError, "unexpected end of input at offset 5"),
+    ("a\xa0b", ParseError, "unexpected 'b' at offset 3"),
+])
+def test_error_precedence_and_offsets(text, error, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    assert outcome(parse, text) == outcome(lambda t: _ReferenceParser(t).parse(), text)
+
+
+def test_unicode_space_is_whitespace():
+    assert parse("a\xa0") == Var("a")
+    assert parse("\u3000a\u3000&\tb\n") == And(a, b)
+
+
+def test_deep_and_wide_text_without_recursion():
+    # the loop keeps its pending operators on a list, so neither depth nor
+    # width of the text reaches the recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    n = 10**5
+    names = ["a%d" % i for i in range(n)]
+    for text, want in (
+        ("(" * n + "a" + ")" * n, Metrics(1, 0, frozenset("a"))),
+        ("!" * n + "a", Metrics(n + 1, 0, frozenset("a"))),
+        ("[]<>" * (n // 2) + "a", Metrics(n + 1, n, frozenset("a"))),
+        (" & ".join(names), Metrics(2 * n - 1, 0, frozenset(names))),
+    ):
+        ok = metrics(parse(text)) == want
+        assert ok

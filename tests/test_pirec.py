@@ -13,7 +13,7 @@ from kprime.grammar import GrammarError, SyntacticKind, view4
 from kprime import recognize as rec
 from kprime.recognize import normalize_clause, witness_universe
 
-from helpers import random_formula, random_surface_clause
+from helpers import dia_pi_verdict, random_formula, random_surface_clause
 
 a, b, c, d, e, f = (Var(n) for n in "abcdef")
 
@@ -185,15 +185,15 @@ def test_dia_pi_first_example():
 
 
 def test_dia_pi_second_example():
-    assert rec.test_dia_pi(And(a, And(b, c)), parse(PHI31))
+    assert dia_pi_verdict(And(a, And(b, c)), parse(PHI31))
 
 
 def test_dia_pi_limit_step():
     unsat = And(a, Neg(a))
-    assert not rec.test_dia_pi(c, unsat)
-    assert rec.test_dia_pi(And(b, Neg(b)), unsat)
+    assert not dia_pi_verdict(c, unsat)
+    assert dia_pi_verdict(And(b, Neg(b)), unsat)
     with pytest.raises(ValueError):
-        rec.test_dia_pi(c, a)
+        dia_pi_verdict(c, a)
 
 
 def test_pi_example_traces():
@@ -322,7 +322,7 @@ def test_dia_pi_matches_definition():
         expected = _dia_prime_bruteforce(psi, phi)
         if expected is None:
             continue
-        assert rec.test_dia_pi(psi, phi) == expected
+        assert dia_pi_verdict(psi, phi) == expected
         checked += 1
     assert checked >= 2
 
