@@ -3,8 +3,6 @@ form, and the per-term candidate entries used by implicate generation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .decision import _children, sat, surface_branches
 from .formulas import _RESERVED_LITS, And, Box, Dia, Formula, dual_negate, nnf
 from .grammar import TermView4, _split4
@@ -38,22 +36,13 @@ def cnf4(f: Formula) -> tuple[Formula, ...]:
     )
 
 
-@dataclass(frozen=True)
-class DeltaSet:
-    """Candidate entries contributed by one D4 term: its propositional
-    literals, the box over beta, and one diamond per diamond body, each
-    strengthened by beta."""
-
-    entries: tuple[Formula, ...]
-
-
-def delta_set(t: TermView4) -> DeltaSet:
-    """Entries implied by the satisfiable term t, in canonical order:
-    L_T first, then the box over beta_T when boxes exist, then one
-    diamond entry per member of D_T."""
+def delta_set(t: TermView4) -> tuple[Formula, ...]:
+    """Candidate entries implied by the satisfiable term t, in canonical
+    order: L_T first, then the box over beta_T when boxes exist, then one
+    diamond entry per member of D_T, strengthened by beta_T."""
     if not sat(t.assemble()):
         raise ValueError("delta_set needs a satisfiable term: %s" % t.assemble())
-    return DeltaSet(_delta_entries(t))
+    return _delta_entries(t)
 
 
 def _delta_entries(t: TermView4) -> tuple[Formula, ...]:

@@ -56,12 +56,6 @@ def _boxed(k: int, f: Formula) -> Formula:
     return f
 
 
-def _dia_chain(k: int, f: Formula) -> Formula:
-    for _ in range(k):
-        f = Dia(f)
-    return f
-
-
 def _avar(i: int, j: int) -> Formula:
     return Var("a_%d_%d" % (i, j))
 
@@ -139,7 +133,7 @@ def _chain(ops, f: Formula) -> Formula:
 
 
 def _thm11(k: int) -> tuple[Formula, list[Formula]]:
-    lam = Or(Box(_dia_chain(k, Var("a"))),
+    lam = Or(Box(_chain((Dia,) * k, Var("a"))),
              Dia(And(Var("a"), And(Var("b"), _boxed(k, Neg(Var("a")))))))
     return Box(And(Var("a"), Var("b"))), [lam]
 

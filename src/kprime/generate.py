@@ -26,7 +26,6 @@ no pooled model refutes asks the core for a countermodel, and one that
 comes back joins the pool.
 """
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, product
 from math import prod
@@ -35,19 +34,6 @@ from typing import Iterator
 from .decision import countermodel, is_tautology, sat, true_at_root
 from .dnf import _delta_entries, dnf4
 from .formulas import And, Dia, Formula, Neg, Or, Var, dual_negate, fold_or, metrics
-
-
-@dataclass(frozen=True, slots=True)
-class PiSet:
-    """Ordered set of pairwise non-equivalent clauses (or terms)."""
-
-    clauses: tuple[Formula, ...]
-
-    def __iter__(self):
-        return iter(self.clauses)
-
-    def __len__(self):
-        return len(self.clauses)
 
 
 def _limit_case(f: Formula) -> tuple[Formula, ...] | None:
@@ -123,12 +109,11 @@ def iter_pi(f: Formula) -> Iterator[Formula]:
             yield c
 
 
-def gen_pi(f: Formula) -> PiSet:
+def gen_pi(f: Formula) -> tuple[Formula, ...]:
     """All prime implicates of f, in the order iter_pi yields them."""
-    return PiSet(tuple(iter_pi(f)))
+    return tuple(iter_pi(f))
 
 
-def gen_implicants(f: Formula) -> PiSet:
+def gen_implicants(f: Formula) -> tuple[Formula, ...]:
     """All prime implicants of f, as negations of the prime implicates of ~f."""
-    pis = gen_pi(dual_negate(f))
-    return PiSet(tuple(dual_negate(l) for l in pis.clauses))
+    return tuple(dual_negate(l) for l in iter_pi(dual_negate(f)))

@@ -15,10 +15,10 @@ own. One loop reads them, picks each token's action by a dict lookup on
 its string, and keeps what still waits for its right operand on an
 explicit stack, so deep nesting needs no recursion.
 
-No offsets are kept while parsing. On an error, _tokenize scans the text
-again with each token's position; it reports the first illegal
-character if there is one anywhere, and otherwise parse reports the
-failing token (or the end of input) at its byte offset.
+No offsets are kept while parsing. On an error, the same pattern scans
+the text again with each token's position; the first illegal character
+anywhere is reported if there is one, and otherwise the failing token
+(or the end of input) at its byte offset.
 """
 
 from __future__ import annotations
@@ -44,38 +44,12 @@ class ReservedNameError(ParseError):
 
 _IDENT = r"[a-z_][a-zA-Z0-9_]*"
 
-_TOKEN = re.compile(r"\s*(?:(?P<ident>%s)|(?P<op>\[\]|<>|->|[!&|()]))" % _IDENT)
-
 
 def is_variable_name(name: str) -> bool:
     """Whether name parses back as a variable: an identifier that is
     neither a constant nor the reserved name."""
     return (re.fullmatch(_IDENT, name) is not None
             and name not in ("true", "false", RESERVED))
-
-
-def _tokenize(text: str):
-    toks = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = n - len(stripped)
-            raise ParseError(
-                "unexpected character %r" % stripped[0],
-                _byte_offset(text, at),
-                expected=("identifier", "operator"),
-            )
-        kind = "ident" if m.group("ident") else "op"
-        value = m.group(kind)
-        toks.append((kind, value, m.start(kind)))
-        pos = m.end()
-    toks.append(("eof", "", n))
-    return toks
 
 
 def _byte_offset(text: str, charpos: int) -> int:
@@ -104,15 +78,20 @@ _OPERAND = ("identifier", "true", "false", "!", "[]", "<>", "(")
 
 
 def _fail(text: str, index: int, expected) -> NoReturn:
-    # Offsets are found only here, by the full scanner. It raises first if
-    # any character of text starts no token; otherwise the index-th token,
-    # or the end of input, is the culprit, and the reserved name where an
-    # operand is expected has an error of its own.
-    kind, value, charpos = _tokenize(text)[index]
+    # Offsets are found only here, by a second scan. Any one-character
+    # token that no rule accepts raises first; otherwise the index-th
+    # token, or the end of input, is the culprit, and the reserved name
+    # where an operand is expected has an error of its own.
+    tokens = [(m.group(), m.start()) for m in _SCAN.finditer(text)]
+    for value, charpos in tokens:
+        if len(value) == 1 and value not in "!&|()" + _IDENT_START:
+            raise ParseError("unexpected character %r" % value,
+                             _byte_offset(text, charpos), ("identifier", "operator"))
+    value, charpos = tokens[index] if index < len(tokens) else (_END, len(text))
     offset = _byte_offset(text, charpos)
     if value == RESERVED and expected is _OPERAND:
         raise ReservedNameError("variable name %r is reserved" % RESERVED, offset)
-    what = "end of input" if kind == "eof" else repr(value)
+    what = "end of input" if value is _END else repr(value)
     raise ParseError("unexpected %s" % what, offset, expected)
 
 

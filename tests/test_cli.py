@@ -8,6 +8,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import kprime
 from kprime import And, Box, Dia, Neg, Or, Var, cli, parse
 from kprime.decision import entails, equivalent
 from kprime.formulas import fold_and, fold_or, unparse
@@ -377,3 +378,8 @@ def test_examples_script():
                           cwd=root, capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.rstrip().endswith("all examples passed")
+
+
+def test_every_export_is_defined():
+    # from kprime import * breaks on a name in __all__ the package lacks
+    assert [name for name in kprime.__all__ if not hasattr(kprime, name)] == []

@@ -140,9 +140,9 @@ def test_cnf4_conjunction_equivalent():
 def test_delta_entries_no_boxes():
     g = parse("a & (((<>(b & c)) & (<>b)) | ((<>b) & (<>(c | d)) & ([]e) & ([]f)))")
     t1, t2 = dnf4(g)
-    assert delta_set(t1).entries == (a, Dia(And(b, c)), Dia(b))
+    assert delta_set(t1) == (a, Dia(And(b, c)), Dia(b))
     beta = And(e, f)
-    assert delta_set(t2).entries == (
+    assert delta_set(t2) == (
         a,
         Box(beta),
         Dia(And(b, beta)),
@@ -152,7 +152,7 @@ def test_delta_entries_no_boxes():
 
 def test_delta_single_box():
     (t,) = dnf4(parse("a & []b"))
-    assert delta_set(t).entries == (a, Box(b))
+    assert delta_set(t) == (a, Box(b))
 
 
 def test_delta_entries_implied_by_term():
@@ -161,7 +161,7 @@ def test_delta_entries_implied_by_term():
         g = random_formula(rng, "abc", rng.randint(0, 2), rng.randint(1, 8))
         for t in dnf4(g):
             body = t.assemble()
-            for entry in delta_set(t).entries:
+            for entry in delta_set(t):
                 assert entails(body, entry)
 
 

@@ -1,12 +1,13 @@
 import random
+import re
 import sys
 
 import pytest
 
 from kprime.formulas import (And, Box, Dia, Metrics, Neg, Or, RESERVED, Var,
                              bottom, fold_and, fold_or, metrics, top, unparse)
-from kprime.parser import (_SCAN, ParseError, ReservedNameError, _byte_offset,
-                           _tokenize, parse)
+from kprime.parser import (_IDENT, _SCAN, ParseError, ReservedNameError,
+                           _byte_offset, parse)
 
 from helpers import random_formula
 
@@ -106,6 +107,35 @@ def test_reserved_name():
         parse("a & !_c")
     # other underscore names are fine
     assert parse("_x") == Var("_x")
+
+
+# The scanner that parse's single findall replaced, the reference for its
+# tokens and for the offsets and illegal characters its errors report.
+_TOKEN = re.compile(r"\s*(?:(?P<ident>%s)|(?P<op>\[\]|<>|->|[!&|()]))" % _IDENT)
+
+
+def _tokenize(text: str):
+    toks = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = n - len(stripped)
+            raise ParseError(
+                "unexpected character %r" % stripped[0],
+                _byte_offset(text, at),
+                expected=("identifier", "operator"),
+            )
+        kind = "ident" if m.group("ident") else "op"
+        value = m.group(kind)
+        toks.append((kind, value, m.start(kind)))
+        pos = m.end()
+    toks.append(("eof", "", n))
+    return toks
 
 
 _UNARY = {"!": Neg, "[]": Box, "<>": Dia}
@@ -279,6 +309,13 @@ def test_scan_matches_tokenize():
     ("_c & $", ParseError, "unexpected character '$' at offset 5"),
     ("a a \u00e9", ParseError, "unexpected character '\u00e9' at offset 4"),
     ("_c & a", ReservedNameError, "variable name '_c' is reserved at offset 0"),
+    # lone characters that start no token, wherever they stand
+    ("a [ b", ParseError, "unexpected character '[' at offset 2"),
+    ("<a", ParseError, "unexpected character '<' at offset 0"),
+    ("a - > b", ParseError, "unexpected character '-' at offset 2"),
+    ("a & B", ParseError, "unexpected character 'B' at offset 4"),
+    ("0a", ParseError, "unexpected character '0' at offset 0"),
+    ("a -> b >", ParseError, "unexpected character '>' at offset 7"),
     # offsets count UTF-8 bytes, and Unicode spaces are whitespace
     ("a\u3000&", ParseError, "unexpected end of input at offset 5"),
     ("a\xa0b", ParseError, "unexpected 'b' at offset 3"),

@@ -246,7 +246,7 @@ def test_pspace_fixture():
 
 
 def _candidates(phi):
-    deltas = [delta_set(t).entries for t in dnf4(phi)]
+    deltas = [delta_set(t) for t in dnf4(phi)]
     n = 1
     for entries in deltas:
         n *= len(entries)
@@ -291,7 +291,7 @@ def test_agreement_on_weakened_members():
 def _dia_prime_bruteforce(psi, phi):
     delta_dias = []
     for t in dnf4(phi):
-        bodies = [x.child for x in delta_set(t).entries if isinstance(x, Dia)]
+        bodies = [x.child for x in delta_set(t) if isinstance(x, Dia)]
         delta_dias.append(bodies)
     space = 1
     for bodies in delta_dias:

@@ -1,11 +1,15 @@
-"""Property test: the printer's text parses back to the same node."""
+"""Property tests: the printer's text parses back to the same node, and
+every formula a public function returns prints as text that reads back."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from kprime.formulas import And, Box, Dia, Neg, Or, RESERVED, Var, bottom, top, unparse
+from kprime.dnf import cnf4, delta_set, dnf4
+from kprime.formulas import (And, Box, Dia, Neg, Or, RESERVED, Var, bottom, dual_negate,
+                             nnf, top, unparse)
+from kprime.generate import gen_implicants, gen_pi
 from kprime.parser import is_variable_name, parse
 
 _C = Var(RESERVED)
@@ -46,3 +50,34 @@ _PAIRS = st.recursive(
 def test_parse_unparse_round_trip(pair):
     f, read_back = pair
     assert parse(unparse(f)) is read_back
+
+
+# few names, so that the outputs of the generators stay small
+_SMALL = st.recursive(
+    st.sampled_from([Var("a"), Var("b"), Var("c")] + [f for f, _ in _CONSTANTS]),
+    lambda fs: st.one_of(fs.map(Neg), fs.map(Box), fs.map(Dia),
+                         st.builds(And, fs, fs), st.builds(Or, fs, fs)),
+    max_leaves=8,
+)
+
+
+def _outputs(f):
+    """Every formula that a public function returns for f."""
+    yield nnf(f)
+    yield dual_negate(f)
+    yield from gen_pi(f)
+    yield from gen_implicants(f)
+    yield from cnf4(f)
+    for t in dnf4(f):
+        yield t.assemble()
+        yield from delta_set(t)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(_SMALL)
+def test_public_outputs_read_back(f):
+    # compared as text: the reversed-operand true/false sugar reads back as
+    # the canonical node, which prints the same
+    for x in _outputs(f):
+        text = unparse(x)
+        assert unparse(parse(text)) == text, text
