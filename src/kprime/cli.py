@@ -26,27 +26,40 @@ from types import SimpleNamespace
 from .decision import entails, sat
 from .dnf import cnf4, dnf4
 from .families import FamilySpec, generate, parse_qbf_file, qbf_encode
-from .formulas import And, Box, Dia, Formula, Neg, Or, fold_or, nnf, unparse
+from .formulas import _SUGAR, And, Formula, Or, Var, fold_or, nnf, subformulas, unparse
 from .generate import gen_implicants, gen_pi, iter_pi
-from .grammar import DefId, SyntacticKind, _dedup, _flatten, is_member
+from .grammar import DefId, SyntacticKind, _dedup, is_member
 from .parser import parse
 from .recognize import test_implicant_report, test_pi_report
 from .semantics import holds, parse_model
 
 
 def _collapse(f: Formula) -> Formula:
-    """Drop duplicate disjuncts, recursively; display helper only."""
-    if isinstance(f, Or):
-        return fold_or(_dedup(_collapse(g) for g in _flatten(f, Or)))
-    if isinstance(f, And):
-        return And(_collapse(f.left), _collapse(f.right))
-    if isinstance(f, Neg):
-        return Neg(_collapse(f.child))
-    if isinstance(f, Box):
-        return Box(_collapse(f.child))
-    if isinstance(f, Dia):
-        return Dia(_collapse(f.child))
-    return f
+    """Drop duplicate disjuncts at every level, keeping the true/false sugar
+    whole; display helper only. Each |-chain is split once, at its top."""
+    out: dict[Formula, Formula] = {}
+
+    def part(g):
+        if g not in out:  # the top of a |-chain
+            parts, todo = [], [g]
+            while todo:
+                h = todo.pop()
+                if type(h) is Or and h not in _SUGAR:
+                    todo += h.right, h.left
+                else:
+                    parts.append(out[h])
+            out[g] = fold_or(_dedup(parts))
+        return out[g]
+
+    for g in subformulas(f):
+        cls = type(g)
+        if cls is Var or g in _SUGAR:
+            out[g] = g
+        elif cls is And:
+            out[g] = And(part(g.left), part(g.right))
+        elif cls is not Or:
+            out[g] = cls(part(g.child))
+    return part(f)
 
 
 def _show(f: Formula, args) -> str:

@@ -220,26 +220,46 @@ class Metrics:
     vars: frozenset[str]
 
 
+def subformulas(f: Formula) -> list[Formula]:
+    """The distinct subformulas of f, each after its operands, left before
+    right, at its first occurrence; by an explicit stack, at any depth."""
+    order: list[Formula] = []
+    seen: set[Formula] = set()
+    todo: list[tuple[Formula, bool]] = [(f, False)]
+    while todo:
+        g, ready = todo.pop()
+        if ready:
+            order.append(g)
+        elif g not in seen:
+            seen.add(g)
+            todo.append((g, True))
+            cls = type(g)
+            if cls is And or cls is Or:
+                todo += (g.right, False), (g.left, False)
+            elif cls is Neg or cls is Box or cls is Dia:
+                todo.append((g.child, False))
+            elif cls is not Var:
+                raise TypeError("not a formula: %r" % (g,))
+    return order
+
+
 def metrics(f: Formula) -> Metrics:
     """Length (variable occurrences + connectives + modal operators),
     modal depth, and the set of variable names."""
-    length = depth = 0
+    size: dict[Formula, tuple[int, int]] = {}  # node -> (length, depth)
     names = set()
-    todo = [(f, 0)]
-    while todo:
-        g, d = todo.pop()
-        length += 1
-        if isinstance(g, Var):
+    for g in subformulas(f):
+        cls = type(g)
+        if cls is Var:
+            size[g] = (1, 0)
             names.add(g.name)
-            depth = max(depth, d)
-        elif isinstance(g, Neg):
-            todo.append((g.child, d))
-        elif isinstance(g, (Box, Dia)):
-            todo.append((g.child, d + 1))
+        elif cls is And or cls is Or:
+            (ll, ld), (rl, rd) = size[g.left], size[g.right]
+            size[g] = (1 + ll + rl, max(ld, rd))
         else:
-            todo.append((g.left, d))  # type: ignore[attr-defined]
-            todo.append((g.right, d))  # type: ignore[attr-defined]
-    return Metrics(length, depth, frozenset(names))
+            length, depth = size[g.child]
+            size[g] = (1 + length, depth + (cls is not Neg))
+    return Metrics(*size[f], frozenset(names))
 
 
 def fold_or(parts, empty=None):

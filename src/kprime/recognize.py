@@ -95,26 +95,10 @@ def test_prop_pi(l: ClauseView4, phi: Formula) -> bool:
     return True
 
 
-def test_box_pi(chi: Formula, psis: list[Formula], phi_prime: Formula) -> bool:
-    """Whether the box clause built from chi is strongest over phi_prime.
-
-    The clause tested is box(chi and not-psi_1 and ... and not-psi_m); it
-    passes iff its body entails the box conjunction of some term of
-    dnf4(phi_prime).  A term without boxes passes trivially; an empty term
-    stream fails.
-    """
-    body = fold_and([chi] + [dual_negate(p) for p in psis])
-    clause = Box(body)
-    if is_tautology(clause):
-        raise ValueError("tautologous box clause: %s" % clause)
-    if not entails(phi_prime, clause):
-        raise ValueError("not an implicate: %s" % clause)
-    return _box_pi(body, phi_prime)
-
-
 def _box_pi(body: Formula, phi_prime: Formula) -> bool:
-    # test_box_pi for a box(body) already known to be a non-tautological
-    # implicate of phi_prime
+    """Whether box(body), a non-tautological implicate of phi_prime, is
+    strongest over it: iff body entails the box conjunction of some term of
+    dnf4(phi_prime), or a term has no boxes; an empty term stream fails."""
     for t in dnf4(phi_prime):
         beta = t.beta()
         if beta is None or entails(body, beta):

@@ -4,13 +4,16 @@ The oracle is independent of the decision module: it enumerates bounded tree
 models (depth limited by the modal depth of the input, branching limited by
 the number of distinct diamond subformulas) and evaluates the satisfaction
 clauses over them, instead of running the clausal recursion of decision.sat.
+
+holds and formulas.metrics walk each distinct subformula once, without
+recursion, in formulas.subformulas order, by which the oracle numbers its slots.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .formulas import And, Box, Dia, Formula, Neg, Or, Var, metrics, nnf
+from .formulas import And, Box, Dia, Formula, Neg, Or, Var, metrics, nnf, subformulas
 
 
 class UnknownWorldError(ValueError):
@@ -90,23 +93,23 @@ def holds(m: KripkeModel, w: str, f: Formula) -> bool:
     """Truth of f at world w of m, by the inductive satisfaction clauses."""
     if w not in m.succ:
         raise UnknownWorldError("unknown world %r" % w)
-    return _holds(m, w, f)
-
-
-def _holds(m, w, f):
-    if isinstance(f, Var):
-        return f.name in m.val[w]
-    if isinstance(f, Neg):
-        return not _holds(m, w, f.child)
-    if isinstance(f, And):
-        return _holds(m, w, f.left) and _holds(m, w, f.right)
-    if isinstance(f, Or):
-        return _holds(m, w, f.left) or _holds(m, w, f.right)
-    if isinstance(f, Box):
-        return all(_holds(m, u, f.child) for u in m.succ[w])
-    if isinstance(f, Dia):
-        return any(_holds(m, u, f.child) for u in m.succ[w])
-    raise TypeError("not a formula: %r" % (f,))
+    where: dict[Formula, frozenset] = {}  # subformula -> the worlds where it holds
+    for g in subformulas(f):
+        cls = type(g)
+        if cls is Var:
+            at = frozenset(u for u in m.worlds if g.name in m.val[u])
+        elif cls is Neg:
+            at = frozenset(m.worlds) - where[g.child]
+        elif cls is And:
+            at = where[g.left] & where[g.right]
+        elif cls is Or:
+            at = where[g.left] | where[g.right]
+        elif cls is Box:
+            at = frozenset(u for u in m.worlds if where[g.child].issuperset(m.succ[u]))
+        else:
+            at = frozenset(u for u in m.worlds if not where[g.child].isdisjoint(m.succ[u]))
+        where[g] = at
+    return w in where[f]
 
 
 def sat_bruteforce(f: Formula, fuel: int = DEFAULT_FUEL) -> bool:
@@ -120,26 +123,6 @@ def tree_model(f: Formula, fuel: int = DEFAULT_FUEL):
     if tree is None:
         return None
     return _materialize(tree)
-
-
-def _subformulas(g):
-    # distinct subformulas, children strictly before parents
-    order: list[Formula] = []
-    seen: set[Formula] = set()
-
-    def walk(h):
-        if h in seen:
-            return
-        if isinstance(h, (Neg, Box, Dia)):
-            walk(h.child)
-        elif isinstance(h, (And, Or)):
-            walk(h.left)
-            walk(h.right)
-        seen.add(h)
-        order.append(h)
-
-    walk(g)
-    return order
 
 
 # opcodes for the compiled evaluator
@@ -157,10 +140,11 @@ def _search(g, fuel):
     evaluated simultaneously, one big integer per subformula with one bit
     per candidate. Returns a witness tree (valuation, children) or None.
     """
-    subs = _subformulas(g)
+    subs = subformulas(g)
     idx = {s: i for i, s in enumerate(subs)}
     root = idx[g]
-    names = sorted(metrics(g).vars)
+    sizes = metrics(g)
+    names = sorted(sizes.vars)
     nvals = 1 << len(names)
     valuations = list(itertools.product((False, True), repeat=len(names)))
 
@@ -280,7 +264,7 @@ def _search(g, fuel):
         # no diamonds in NNF: leaf models already decide satisfiability
         return None
 
-    for _ in range(metrics(g).depth):
+    for _ in range(sizes.depth):
         # reachable (AND, OR) summaries of nonempty successor sets of size
         # up to ndia, smallest sets first
         pairs: dict[tuple[int, int], tuple] = {}
@@ -320,19 +304,17 @@ def _valuation_dict(names, valuation):
 
 
 def _materialize(tree):
+    # worlds are numbered in preorder, each arc listed as its target is
     worlds: list[str] = []
     arcs: list[tuple[str, str]] = []
     val: dict[str, set[str]] = {}
-
-    def build(node):
-        valuation, children = node
+    todo = [(tree, None)]
+    while todo:
+        (valuation, children), parent = todo.pop()
         w = "w%d" % (len(worlds) + 1)
         worlds.append(w)
         val[w] = set(valuation)
-        for ch in children:
-            u = build(ch)
-            arcs.append((w, u))
-        return w
-
-    root = build(tree)
-    return KripkeModel(worlds, arcs, val), root
+        if parent is not None:
+            arcs.append((parent, w))
+        todo += ((child, w) for child in reversed(children))
+    return KripkeModel(worlds, arcs, val), worlds[0]

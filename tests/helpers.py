@@ -7,9 +7,10 @@ from itertools import combinations, product
 from kprime.cli import main as cli_main
 from kprime.decision import entails, is_tautology
 from kprime.families import QbfInstance, XcInstance
-from kprime.formulas import And, Box, Dia, Neg, Or, Var, bottom, fold_or, nnf
-from kprime.grammar import ClauseView4, _derives
-from kprime.recognize import test_dia_pi_report
+from kprime.formulas import (And, Box, Dia, Metrics, Neg, Or, Var, bottom, dual_negate,
+                             fold_and, fold_or, nnf)
+from kprime.grammar import ClauseView4, _dedup, _derives, _flatten
+from kprime.recognize import _box_pi, test_dia_pi_report
 from kprime.semantics import KripkeModel
 
 
@@ -201,3 +202,122 @@ def is_nnf(f) -> bool:
 def dia_pi_verdict(psi, phi) -> bool:
     """Whether <>psi is a prime implicate of phi, by the diamond subtest."""
     return test_dia_pi_report(psi, phi).verdict
+
+
+def box_pi_verdict(chi, psis, phi_prime) -> bool:
+    """Whether the box clause built from chi is strongest over phi_prime.
+
+    The clause tested is box(chi and not-psi_1 and ... and not-psi_m); it
+    passes iff its body entails the box conjunction of some term of
+    dnf4(phi_prime).  A term without boxes passes trivially; an empty term
+    stream fails.  Unlike recognize._box_pi, it checks its input: raises
+    ValueError on a tautologous clause or one that phi_prime does not entail.
+    """
+    body = fold_and([chi] + [dual_negate(p) for p in psis])
+    clause = Box(body)
+    if is_tautology(clause):
+        raise ValueError("tautologous box clause: %s" % clause)
+    if not entails(phi_prime, clause):
+        raise ValueError("not an implicate: %s" % clause)
+    return _box_pi(body, phi_prime)
+
+
+# Recursive tree walks, the references that tests/test_walks.py checks the
+# loops of formulas.subformulas, formulas.metrics, semantics.holds,
+# semantics._materialize and cli._collapse against.  collapse_reference splits
+# the true/false sugar like any other disjunction, so it can print the
+# reserved variable; the comparison draws formulas without it.
+
+
+def subformulas_reference(g):
+    """Distinct subformulas, children strictly before parents."""
+    order = []
+    seen = set()
+
+    def walk(h):
+        if h in seen:
+            return
+        if isinstance(h, (Neg, Box, Dia)):
+            walk(h.child)
+        elif isinstance(h, (And, Or)):
+            walk(h.left)
+            walk(h.right)
+        seen.add(h)
+        order.append(h)
+
+    walk(g)
+    return order
+
+
+def metrics_reference(f):
+    """formulas.metrics by a walk over the unfolded tree."""
+    length = depth = 0
+    names = set()
+    todo = [(f, 0)]
+    while todo:
+        g, d = todo.pop()
+        length += 1
+        if isinstance(g, Var):
+            names.add(g.name)
+            depth = max(depth, d)
+        elif isinstance(g, Neg):
+            todo.append((g.child, d))
+        elif isinstance(g, (Box, Dia)):
+            todo.append((g.child, d + 1))
+        else:
+            todo.append((g.left, d))
+            todo.append((g.right, d))
+    return Metrics(length, depth, frozenset(names))
+
+
+def materialize_reference(tree):
+    """semantics._materialize by recursion: the (model, root) of a witness tree."""
+    worlds = []
+    arcs = []
+    val = {}
+
+    def build(node):
+        valuation, children = node
+        w = "w%d" % (len(worlds) + 1)
+        worlds.append(w)
+        val[w] = set(valuation)
+        for ch in children:
+            u = build(ch)
+            arcs.append((w, u))
+        return w
+
+    root = build(tree)
+    return KripkeModel(worlds, arcs, val), root
+
+
+def holds_reference(m, w, f):
+    """Truth of f at world w of m, by the recursive satisfaction clauses."""
+    if isinstance(f, Var):
+        return f.name in m.val[w]
+    if isinstance(f, Neg):
+        return not holds_reference(m, w, f.child)
+    if isinstance(f, And):
+        return holds_reference(m, w, f.left) and holds_reference(m, w, f.right)
+    if isinstance(f, Or):
+        return holds_reference(m, w, f.left) or holds_reference(m, w, f.right)
+    if isinstance(f, Box):
+        return all(holds_reference(m, u, f.child) for u in m.succ[w])
+    if isinstance(f, Dia):
+        return any(holds_reference(m, u, f.child) for u in m.succ[w])
+    raise TypeError("not a formula: %r" % (f,))
+
+
+def collapse_reference(f):
+    """Duplicate disjuncts dropped, recursively, the true/false sugar split too."""
+    if isinstance(f, Or):
+        return fold_or(_dedup(collapse_reference(g) for g in _flatten(f, Or)))
+    if isinstance(f, And):
+        return And(collapse_reference(f.left), collapse_reference(f.right))
+    if isinstance(f, Neg):
+        return Neg(collapse_reference(f.child))
+    if isinstance(f, Box):
+        return Box(collapse_reference(f.child))
+    if isinstance(f, Dia):
+        return Dia(collapse_reference(f.child))
+    return f
+

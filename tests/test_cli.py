@@ -166,6 +166,16 @@ def test_simplify_collapses_duplicates():
     assert out.splitlines()[0] == "(a | a)"
 
 
+def test_simplify_keeps_the_true_false_sugar_whole():
+    # splitting the reversed true sugar (!_c | _c) into the chain around it
+    # printed <>(<>(!_c | (_c | !a))), which does not parse
+    for argv, want in ((("nnf", "-e", "!([][](false & a))"), "<>(<>(true | !a))\n"),
+                       (("nnf", "-e", "(a | true) | (true | a)"), "(a | true)\n")):
+        code, out, err = run_cli(*argv, "--simplify")
+        assert (code, out, err) == (0, want, "")
+        assert run_cli("nnf", "-e", out) == (0, out, "")
+
+
 def test_iter_matches_eager():
     rng = random.Random(90)
     for _ in range(10):

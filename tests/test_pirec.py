@@ -13,7 +13,7 @@ from kprime.grammar import GrammarError, SyntacticKind, view4
 from kprime import recognize as rec
 from kprime.recognize import normalize_clause, witness_universe
 
-from helpers import dia_pi_verdict, random_formula, random_surface_clause
+from helpers import box_pi_verdict, dia_pi_verdict, random_formula, random_surface_clause
 
 a, b, c, d, e, f = (Var(n) for n in "abcdef")
 
@@ -163,19 +163,19 @@ def test_box_pi_examples():
     phi = parse(PHI33)
     # box b inside clause []b | [](e | f)
     phi_p = And(phi, dual_negate(Box(Or(e, f))))
-    assert not rec.test_box_pi(b, [], phi_p)
+    assert not box_pi_verdict(b, [], phi_p)
     # the absorbed box of lam5
     abc = And(a, And(b, c))
     phi_p5 = And(phi, dual_negate(Dia(abc)))
-    assert rec.test_box_pi(Or(Or(e, f), abc), [abc], phi_p5)
+    assert box_pi_verdict(Or(Or(e, f), abc), [abc], phi_p5)
     # single box against itself
-    assert rec.test_box_pi(Or(a, b), [], Box(Or(a, b)))
+    assert box_pi_verdict(Or(a, b), [], Box(Or(a, b)))
     # empty term stream
-    assert not rec.test_box_pi(a, [], And(c, Neg(c)))
+    assert not box_pi_verdict(a, [], And(c, Neg(c)))
     with pytest.raises(ValueError):
-        rec.test_box_pi(Or(a, Neg(a)), [], a)
+        box_pi_verdict(Or(a, Neg(a)), [], a)
     with pytest.raises(ValueError):
-        rec.test_box_pi(a, [], b)
+        box_pi_verdict(a, [], b)
 
 
 def test_dia_pi_first_example():

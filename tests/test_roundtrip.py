@@ -6,11 +6,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from kprime.cli import _collapse
 from kprime.dnf import cnf4, delta_set, dnf4
+from kprime.families import FamilySpec, generate, qbf_encode, xc_encode
 from kprime.formulas import (And, Box, Dia, Neg, Or, RESERVED, Var, bottom, dual_negate,
                              nnf, top, unparse)
 from kprime.generate import gen_implicants, gen_pi
 from kprime.parser import is_variable_name, parse
+
+from helpers import all_qbf_instances, all_xc_instances
 
 _C = Var(RESERVED)
 
@@ -61,16 +65,34 @@ _SMALL = st.recursive(
 )
 
 
+def _printed(xs):
+    """Each formula, and what --simplify prints for it."""
+    for x in xs:
+        yield x
+        yield _collapse(x)
+
+
 def _outputs(f):
-    """Every formula that a public function returns for f."""
-    yield nnf(f)
-    yield dual_negate(f)
-    yield from gen_pi(f)
-    yield from gen_implicants(f)
-    yield from cnf4(f)
+    """Every formula that a public function returns for f, and its
+    --simplify form."""
+    returned = [nnf(f), dual_negate(f), *gen_pi(f), *gen_implicants(f), *cnf4(f)]
     for t in dnf4(f):
-        yield t.assemble()
-        yield from delta_set(t)
+        returned += [t.assemble(), *delta_set(t)]
+    return _printed(returned)
+
+
+def _family_outputs():
+    """Every formula the family encoders return at small sizes, and its
+    --simplify form, as `kpi gen` prints them."""
+    returned = []
+    for spec in ([FamilySpec("thm11", k=k) for k in (1, 2, 3)]
+                 + [FamilySpec(name, n=n) for name in ("thm18", "thm19", "thm21")
+                    for n in (1, 2)]):
+        formula, distinguished = generate(spec)
+        returned += [formula, *distinguished]
+    returned += map(qbf_encode, all_qbf_instances())
+    returned += map(xc_encode, all_xc_instances())
+    return _printed(returned)
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
@@ -79,5 +101,11 @@ def test_public_outputs_read_back(f):
     # compared as text: the reversed-operand true/false sugar reads back as
     # the canonical node, which prints the same
     for x in _outputs(f):
+        text = unparse(x)
+        assert unparse(parse(text)) == text, text
+
+
+def test_family_outputs_read_back():
+    for x in _family_outputs():
         text = unparse(x)
         assert unparse(parse(text)) == text, text
