@@ -48,8 +48,9 @@ def surface_branches(g: Formula, skip_satisfied: bool = False):
     """Stream the surface-DNF branches of an NNF formula as tuples of
     surface literals (variables, negated variables, boxes, diamonds) in
     source order. Propositionally clashing branches are pruned; duplicate
-    literals collapse to their first occurrence.  skip_satisfied, passed
-    by _model_nnf only, passes over an Or with a side already on the branch."""
+    literals collapse to their first occurrence.  skip_satisfied passes
+    over an Or with a side already on the branch; the branches kept still
+    make a DNF of g, as every model of g satisfies one of them."""
     branch: dict[Formula, str | None] = {}  # literal -> its variable name
     sign: dict[str, bool] = {}
     choices = []  # (rest of the walk at an Or's right side, branch length)

@@ -7,19 +7,30 @@ at the top propositional level of the formula; a qualifying subset
 witnesses a strictly stronger implicate.  It streams the terms of the
 formula once into a reach table of bitmasks, decides by a pruned
 include/exclude search whether a qualifying subset exists, and recovers
-the canonical (smallest, then leftmost) subset only when one does.
+the canonical (smallest, then leftmost) subset only when one does.  Its
+cover queries on subsets of literals are decided by bitmasks over the
+surface branches of the diamond's body when that body is propositional.
 """
 
 from dataclasses import dataclass
 
-from .decision import countermodel, entails, is_tautology, sat, true_at_root
+from .decision import (
+    countermodel,
+    entails,
+    is_tautology,
+    sat,
+    surface_branches,
+    true_at_root,
+)
 from .dnf import dnf4
 from .formulas import (
     And,
     Box,
     Dia,
     Formula,
+    Neg,
     Or,
+    Var,
     bottom,
     dual_negate,
     fold_and,
@@ -27,6 +38,10 @@ from .formulas import (
     nnf,
 )
 from .grammar import ClauseView4, SyntacticKind, _flatten, _split4, view4
+
+# the most consistent surface branches of psi for which the diamond subtest
+# decides its cover queries by bits; a psi with more goes to the core
+COVER_BRANCH_BOUND = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,9 +138,14 @@ def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
     lexicographically by position, by the same search bounded to each
     size in turn.
 
-    A cover query that fails comes with a countermodel of psi, which
-    refutes covering every subset of the members false at its root; a
-    query that such a model already refutes does not reach the core.
+    A cover query asks whether psi entails the disjunction of S.  When S
+    holds only literals, and psi has at most COVER_BRANCH_BOUND consistent
+    surface branches and none with a modal literal, bits decide it: S
+    covers psi iff S holds a complementary pair or meets the literals of
+    every branch.  Any other query goes to a pool of the countermodels
+    found so far, then to the core.  A query that fails in the core comes
+    with a countermodel of psi, which refutes covering every subset of the
+    members false at its root.
     """
     if not entails(phi, Dia(psi)):
         raise ValueError("not an implicate: <>%s" % psi)
@@ -136,6 +156,7 @@ def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
     needs = _reach_table(phi, psi, xs)
     if needs is None:
         return TestOutcome(True, 3, uni)
+    bits = _literal_cover(psi, xs)
     covered: dict[int, bool] = {}
     # one mask per countermodel of psi found so far: the members false at
     # its root; such a model refutes covering every subset of them
@@ -145,6 +166,8 @@ def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
         return tuple(x for k, x in enumerate(xs) if mask >> k & 1)
 
     def covers(mask: int) -> bool:
+        if bits is not None and not mask & ~bits.literals:
+            return bits.covers(mask)
         if mask not in covered:
             if any(not mask & ~fm for fm in falsified):
                 covered[mask] = False
@@ -194,6 +217,42 @@ def _reach_table(phi: Formula, psi: Formula, xs) -> list[int] | None:
             mask |= 1 << index[mu]
         needs.append(mask)
     return needs
+
+
+@dataclass(frozen=True, slots=True)
+class _LiteralCover:
+    """Bits that decide whether psi entails the disjunction of an S made of
+    literals of the universe: S covers psi iff it holds a complementary
+    pair or meets every consistent surface branch of nnf(psi)."""
+
+    literals: int  # the positions of the universe that hold a literal
+    pairs: tuple[tuple[int, int], ...]  # positions of v and of !v, per v
+    branches: tuple[int, ...]  # per branch, the positions of its literals
+
+    def covers(self, mask: int) -> bool:
+        return (any(mask & pos and mask & neg for pos, neg in self.pairs)
+                or all(mask & branch for branch in self.branches))
+
+
+def _literal_cover(psi: Formula, xs) -> _LiteralCover | None:
+    # None when a branch holds a modal literal or there are more than
+    # COVER_BRANCH_BOUND branches.  A consistent propositional term entails
+    # a clause of literals iff they share a literal or the clause is a
+    # tautology, and the branches make a DNF of psi.  The members are in
+    # NNF, so a Neg is a negated variable.
+    at: dict[Formula, int] = {}  # literal -> its positions in xs
+    for k, x in enumerate(xs):
+        if isinstance(x, (Var, Neg)):
+            at[x] = at.get(x, 0) | 1 << k
+    pairs = tuple((m, at[Neg(x)]) for x, m in at.items()
+                  if isinstance(x, Var) and Neg(x) in at)
+    branches = []
+    for branch in surface_branches(nnf(psi), skip_satisfied=True):
+        if len(branches) == COVER_BRANCH_BOUND or any(
+                isinstance(p, (Box, Dia)) for p in branch):
+            return None
+        branches.append(sum(at.get(p, 0) for p in branch))
+    return _LiteralCover(sum(at.values()), pairs, tuple(branches))
 
 
 def _first_refutation(n: int, reaches, covers, size: int | None = None) -> int | None:

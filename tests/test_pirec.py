@@ -3,13 +3,13 @@ from itertools import combinations, product
 
 import pytest
 
-from kprime import And, Box, Dia, Neg, Or, Var, bottom, parse
-from kprime.decision import entails, equivalent, is_tautology, sat
+from kprime import And, Box, Dia, Neg, Or, Var, bottom, parse, top
+from kprime.decision import countermodel, entails, equivalent, is_tautology, sat
 from kprime.dnf import delta_set, dnf4
 from kprime.families import FamilySpec, generate
-from kprime.formulas import dual_negate, fold_and, fold_or
+from kprime.formulas import RESERVED, dual_negate, fold_and, fold_or
 from kprime.generate import gen_pi
-from kprime.grammar import GrammarError, SyntacticKind, view4
+from kprime.grammar import GrammarError, SyntacticKind, _flatten, view4
 from kprime import recognize as rec
 from kprime.recognize import normalize_clause, witness_universe
 
@@ -469,20 +469,135 @@ def test_dia_pi_streams_terms_once_and_entails_linearly(monkeypatch):
     assert len(streams) == 1
 
 
-def test_cover_pool_bounds_core_calls(monkeypatch):
-    # thm21 n=2, distinguished clause 9: the diamond subtest asks 116
-    # distinct cover queries psi |= \/S.  A countermodel of one refutes
-    # every S among the members it falsifies, so the core is asked 68 of
-    # them: the 64 that hold, which no model decides, and 4 that fail.
-    phi, dist = generate(FamilySpec("thm21", n=2))
-    queries = []
-    real = rec.countermodel
+def _count_cover_queries(monkeypatch):
+    # the distinct cover masks the diamond subtest's searches ask, with
+    # their answers, and the cover queries that reach the core (recognize
+    # calls countermodel for nothing else)
+    asked, core = {}, []
+    real_countermodel, real_search = rec.countermodel, rec._first_refutation
 
     def counting(f, g):
-        queries.append(g)
-        return real(f, g)
+        core.append(g)
+        return real_countermodel(f, g)
+
+    def search(n, reaches, covers, size=None):
+        def recording(mask):
+            asked[mask] = covers(mask)
+            return asked[mask]
+        return real_search(n, reaches, recording, size)
 
     monkeypatch.setattr(rec, "countermodel", counting)
+    monkeypatch.setattr(rec, "_first_refutation", search)
+    return asked, core
+
+
+def test_cover_pool_bounds_core_calls(monkeypatch):
+    # thm21 n=2, distinguished clause 9: the diamond subtest asks 116
+    # distinct cover queries psi |= \/S, with a modal-free psi and only
+    # literals in S, so the branch bits decide every one and none reaches
+    # the core.
+    phi, dist = generate(FamilySpec("thm21", n=2))
+    asked, core = _count_cover_queries(monkeypatch)
     out = rec.test_pi_report(dist[9], phi)
     assert (out.verdict, out.step) == (True, 6)
-    assert len(queries) == 68
+    assert len(asked) == 116
+    assert len(core) == 0
+
+
+def test_thm21_distinguished_clauses_ask_the_core_no_cover_query(monkeypatch):
+    phi, dist = generate(FamilySpec("thm21", n=2))
+    assert len(dist) == 16
+    _, core = _count_cover_queries(monkeypatch)
+    for lam in dist:
+        out = rec.test_pi_report(lam, phi)
+        assert (out.verdict, out.step) == (True, 6)
+    assert len(core) == 0
+
+
+def test_cover_queries_on_non_literal_members_keep_pool_and_core(monkeypatch):
+    # the universes of these examples.sh runs hold no literal, so every
+    # cover query goes to the pool, then the core: with PHI_CUT the core
+    # answers all 4 distinct queries; <>(a & b) against PHI asks 5, of
+    # which the pool settles 2
+    asked, core = _count_cover_queries(monkeypatch)
+    for clause, phi, verdict, n_asked, n_core in (
+            ("<>(a & b & c)", PHI31, True, 4, 4),
+            ("<>(a & b)", PHI33, False, 5, 3)):
+        asked.clear()
+        core.clear()
+        out = rec.test_pi_report(parse(clause), parse(phi))
+        assert (out.verdict, out.step) == (verdict, 6)
+        assert (len(asked), len(core)) == (n_asked, n_core), clause
+
+
+def test_cover_bits_match_the_core():
+    # the bit answer against the core's, on random modal-free psi and S of
+    # literals over a universe that may repeat a literal, including the
+    # reserved variable of the true/false sugar
+    rng = random.Random(81)
+    literals = [l for n in ("a", "b", "c", RESERVED) for l in (Var(n), Neg(Var(n)))]
+    seen = dict.fromkeys(("pair", "duplicate", "random", "tautology", "contradiction",
+                          "no branch", "covers", "not covers"), 0)
+    for _ in range(2400):
+        p = random_formula(rng, "abc", 0, rng.randint(1, 9))
+        kind = rng.choice(["random", "random", "tautology", "contradiction"])
+        if kind == "tautology":
+            psi = rng.choice([top(), parse("true"), Or(p, Neg(p)), Or(p, top()),
+                              And(top(), Or(p, top()))])
+        elif kind == "contradiction":
+            psi = rng.choice([bottom(), parse("false"), And(p, Neg(p)), And(p, bottom())])
+        else:
+            psi = p
+        xs = rng.choices(literals, k=rng.randint(1, 6))
+        mask = rng.randint(1, (1 << len(xs)) - 1)
+        chosen = [x for k, x in enumerate(xs) if mask >> k & 1]
+        bits = rec._literal_cover(psi, xs)
+        assert bits is not None and not mask & ~bits.literals
+        got = bits.covers(mask)
+        assert got == (countermodel(psi, fold_or(chosen, bottom())) is None), (psi, chosen)
+        seen["pair"] += any(Neg(x) in chosen for x in chosen)
+        seen["duplicate"] += len(set(chosen)) < len(chosen)
+        seen[kind] += 1
+        seen["no branch"] += not bits.branches
+        seen["covers" if got else "not covers"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_cover_bits_stop_at_the_branch_bound():
+    bound = rec.COVER_BRANCH_BOUND
+    vs = [Var("v%d" % i) for i in range(bound + 1)]
+    bits = rec._literal_cover(fold_or(vs[:bound]), vs)
+    assert len(bits.branches) == bound
+    assert rec._literal_cover(fold_or(vs), vs) is None
+    assert rec._literal_cover(Or(a, Dia(b)), [a, b]) is None
+    # a modal literal on a clashing branch only is no obstacle
+    assert rec._literal_cover(Or(And(a, And(Neg(a), Dia(b))), c), [a, c]).branches == (2,)
+
+
+@pytest.mark.parametrize("psi, phi, kind", [
+    # more branches than the bound
+    (fold_or([Var("v%d" % i) for i in range(rec.COVER_BRANCH_BOUND + 1)]),
+     fold_and([Dia(Var("v0")), Dia(Var("v1")),
+               Dia(fold_or([Var("v%d" % i) for i in range(rec.COVER_BRANCH_BOUND + 1)]))]),
+     "literals"),
+    # a modal literal on a consistent branch of psi
+    (Or(a, Dia(b)), fold_and([Dia(a), Dia(c), Dia(Or(a, Dia(b)))]), "literals"),
+    # a literal and a non-literal member in S
+    (Or(a, And(b, c)), Or(Dia(a), Dia(And(b, c))), "mixed"),
+], ids=["over bound", "modal psi", "mixed S"])
+def test_cover_queries_the_bits_cannot_decide_reach_the_core(monkeypatch, psi, phi, kind):
+    xs = witness_universe(phi).x_set
+    answers, core = _count_cover_queries(monkeypatch)
+    out = rec.test_dia_pi_report(psi, phi)
+    monkeypatch.undo()
+    assert out == _dia_pi_exhaustive(psi, phi)
+    for mask, got in answers.items():
+        chosen = [x for k, x in enumerate(xs) if mask >> k & 1]
+        assert got == entails(psi, fold_or(chosen)), chosen
+    assert kind in map(_members_shape, core), core
+
+
+def _members_shape(g):
+    members = _flatten(g, (Or,))
+    literals = sum(isinstance(x, (Var, Neg)) for x in members)
+    return "literals" if literals == len(members) else "mixed" if literals else "other"
