@@ -1,85 +1,38 @@
-"""Prime implicate and prime implicant engine for the modal logic K."""
+"""Prime implicate and prime implicant engine for the modal logic K.
 
-from .decision import entails, equivalent, is_tautology, sat
-from .dnf import cnf4, delta_set, dnf4
-from .families import (
-    FamilySpec,
-    QbfInstance,
-    XcInstance,
-    parse_qbf_file,
-    qbf_encode,
-    qbf_valid_bruteforce,
-    xc_encode,
-)
-from .formulas import (
-    And,
-    Box,
-    Dia,
-    Formula,
-    Metrics,
-    Neg,
-    Or,
-    Var,
-    bottom,
-    dual_negate,
-    metrics,
-    nnf,
-    top,
-    unparse,
-)
-from .generate import gen_implicants, gen_pi, iter_pi
-from .grammar import ClauseView4, DefId, SyntacticKind, TermView4, is_member, view4
-from .parser import ParseError, ReservedNameError, parse
-from .recognize import test_implicant, test_pi, test_pi_report
-from .semantics import KripkeModel, holds, parse_model, sat_bruteforce, tree_model
+The names of __all__ resolve on first access, each by importing the
+submodule that defines it, so `import kprime.cli` loads only the engine
+modules `kpi` runs, and the instance families (with random) and the
+Kripke model semantics load once a name of theirs is first used.
+"""
 
-__all__ = [
-    "And",
-    "Box",
-    "ClauseView4",
-    "DefId",
-    "Dia",
-    "FamilySpec",
-    "Formula",
-    "KripkeModel",
-    "Metrics",
-    "Neg",
-    "Or",
-    "ParseError",
-    "QbfInstance",
-    "ReservedNameError",
-    "SyntacticKind",
-    "TermView4",
-    "Var",
-    "XcInstance",
-    "bottom",
-    "cnf4",
-    "delta_set",
-    "dnf4",
-    "dual_negate",
-    "entails",
-    "equivalent",
-    "gen_implicants",
-    "gen_pi",
-    "holds",
-    "is_member",
-    "is_tautology",
-    "iter_pi",
-    "metrics",
-    "nnf",
-    "parse",
-    "parse_model",
-    "parse_qbf_file",
-    "qbf_encode",
-    "qbf_valid_bruteforce",
-    "sat",
-    "sat_bruteforce",
-    "test_implicant",
-    "test_pi",
-    "test_pi_report",
-    "top",
-    "tree_model",
-    "unparse",
-    "view4",
-    "xc_encode",
-]
+_HOMES = {
+    "decision": ("entails", "equivalent", "is_tautology", "sat"),
+    "dnf": ("cnf4", "delta_set", "dnf4"),
+    "families": ("FamilySpec", "QbfInstance", "XcInstance", "parse_qbf_file",
+                 "qbf_encode", "qbf_valid_bruteforce", "xc_encode"),
+    "formulas": ("And", "Box", "Dia", "Formula", "Metrics", "Neg", "Or", "Var",
+                 "bottom", "dual_negate", "metrics", "nnf", "top", "unparse"),
+    "generate": ("gen_implicants", "gen_pi", "iter_pi"),
+    "grammar": ("ClauseView4", "DefId", "SyntacticKind", "TermView4", "is_member",
+                "view4"),
+    "parser": ("ParseError", "ReservedNameError", "parse"),
+    "recognize": ("test_implicant", "test_pi", "test_pi_report"),
+    "semantics": ("KripkeModel", "holds", "parse_model", "sat_bruteforce",
+                  "tree_model"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module
+    value = globals()[name] = getattr(import_module("." + _HOME[name], __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

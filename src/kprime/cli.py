@@ -15,23 +15,28 @@ stdout and exits 0; a usage error prints nothing on stdout, the usage
 line and `kpi[ CMD]: error: ...` on stderr, and exits 2. No argparse:
 importing it, gettext and locale cost more than reading and deciding a
 small formula.
+
+For the same reason, importing this module loads only the engine
+modules (formulas, parser, decision, dnf, grammar, generate, recognize).
+`gen` imports the families and `eval` the model semantics when they run,
+and json is imported only to print --json output. The import ends with
+gc.freeze(): a kpi process never frees what its imports made, so no
+garbage collection scans those objects again.
 """
 
 from __future__ import annotations
 
-import json
+import gc
 import sys
 from types import SimpleNamespace
 
 from .decision import entails, sat
 from .dnf import cnf4, dnf4
-from .families import FamilySpec, generate, parse_qbf_file, qbf_encode
 from .formulas import _SUGAR, And, Formula, Or, Var, fold_or, nnf, subformulas, unparse
 from .generate import gen_implicants, gen_pi, iter_pi
 from .grammar import DefId, SyntacticKind, _dedup, is_member
 from .parser import parse
 from .recognize import test_implicant_report, test_pi_report
-from .semantics import holds, parse_model
 
 
 def _collapse(f: Formula) -> Formula:
@@ -83,10 +88,15 @@ def _one_formula(args) -> Formula:
     return fs[0]
 
 
+def _dumps(obj) -> str:
+    import json  # only --json output needs it
+    return json.dumps(obj)
+
+
 def _emit_lines(args, formulas) -> int:
     """Print one formula per line as it arrives, or all of them as one JSON list."""
     if args.json:
-        print(json.dumps([_show(f, args) for f in formulas]))
+        print(_dumps([_show(f, args) for f in formulas]))
     else:
         for f in formulas:
             print(_show(f, args))
@@ -95,7 +105,7 @@ def _emit_lines(args, formulas) -> int:
 
 def _verdict(args, ok, key, words) -> int:
     """Print a yes/no verdict as one of two words or as {key: ok}."""
-    print(json.dumps({key: ok}) if args.json else words[not ok])
+    print(_dumps({key: ok}) if args.json else words[not ok])
     return 0 if ok else 1
 
 
@@ -111,6 +121,7 @@ def _cmd_entail(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .semantics import holds, parse_model
     f = _one_formula(args)
     with open(args.model, "r", encoding="utf-8") as fh:
         model = parse_model(fh.read())
@@ -119,7 +130,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_nnf(args) -> int:
     text = _show(nnf(_one_formula(args)), args)
-    print(json.dumps({"formula": text}) if args.json else text)
+    print(_dumps({"formula": text}) if args.json else text)
     return 0
 
 
@@ -147,7 +158,7 @@ def _report(args, out) -> int:
             obj["universe"] = [unparse(x) for x in out.witness.x_set]
             obj["subset"] = (None if out.witness.subset is None
                              else [unparse(x) for x in out.witness.subset])
-        print(json.dumps(obj))
+        print(_dumps(obj))
     else:
         print(verdict)
         if args.trace:
@@ -175,6 +186,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .families import FamilySpec, generate, parse_qbf_file, qbf_encode
     if args.family == "qbf":
         if not args.file:
             raise ValueError("the qbf family needs --file")
@@ -188,7 +200,7 @@ def _cmd_gen(args) -> int:
                           vars=args.n, seed=args.seed)
         formula, distinguished = generate(spec)
     if args.json:
-        print(json.dumps({
+        print(_dumps({
             "formula": _show(formula, args),
             "distinguished": [_show(d, args) for d in distinguished],
         }))
@@ -376,6 +388,8 @@ def main(argv=None) -> int:
         print("error: %s" % err, file=sys.stderr)
         return 2
 
+
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

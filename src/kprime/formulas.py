@@ -9,7 +9,7 @@ are first computed.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 
 # reserved variable used to desugar the true/false keywords
 RESERVED = "_c"
@@ -213,11 +213,10 @@ def _nnf(f: Formula, negated: bool) -> Formula:
     return g
 
 
-@dataclass(frozen=True)
-class Metrics:
-    length: int
-    depth: int
-    vars: frozenset[str]
+class Metrics(namedtuple("Metrics", "length depth vars")):
+    """length: int, depth: int, vars: frozenset[str] (see metrics)."""
+
+    __slots__ = ()
 
 
 def subformulas(f: Formula) -> list[Formula]:

@@ -29,7 +29,6 @@ comes back joins the pool.
 from functools import cache
 from itertools import chain, product
 from math import prod
-from typing import Iterator
 
 from .decision import countermodel, is_tautology, sat, true_at_root
 from .dnf import _delta_entries, dnf4
@@ -46,7 +45,7 @@ def _limit_case(f: Formula) -> tuple[Formula, ...] | None:
     return None
 
 
-def iter_pi(f: Formula) -> Iterator[Formula]:
+def iter_pi(f: Formula):
     """All prime implicates of f, one representative per equivalence class,
     each yielded as soon as the filter keeps it."""
     limit = _limit_case(f)

@@ -9,7 +9,7 @@ is_member and view4 both call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .formulas import (_SUGAR, And, Box, Dia, Formula, Neg, Or, Var, bottom,
@@ -151,20 +151,17 @@ def _split4(parts):
     return lits, diamonds, boxes
 
 
-@dataclass(frozen=True)
-class ClauseView4:
+class ClauseView4(namedtuple("ClauseView4", "gammas diamonds boxes parts")):
     """A D4 clause split into propositional, diamond, and box disjuncts.
 
-    gammas/diamonds/boxes keep source order; diamonds and boxes store the
-    bodies. parts keeps the deduplicated disjuncts themselves, in source
-    order, so assemble() rebuilds the clause faithfully. A clause with no
-    parts assembles to false.
+    Each field is a tuple of formulas. gammas/diamonds/boxes keep source
+    order; diamonds and boxes store the bodies. parts keeps the
+    deduplicated disjuncts themselves, in source order, so assemble()
+    rebuilds the clause faithfully. A clause with no parts assembles to
+    false.
     """
 
-    gammas: tuple[Formula, ...]
-    diamonds: tuple[Formula, ...]
-    boxes: tuple[Formula, ...]
-    parts: tuple[Formula, ...]
+    __slots__ = ()
 
     def assemble(self) -> Formula:
         return fold_or(self.parts, bottom())
@@ -173,17 +170,14 @@ class ClauseView4:
         return str(self.assemble())
 
 
-@dataclass(frozen=True)
-class TermView4:
+class TermView4(namedtuple("TermView4", "lits diamonds boxes parts")):
     """A D4 term split into propositional literals L_T, diamond bodies D_T,
-    and box bodies B_T; beta() is the conjunction of B_T (None for the
+    and box bodies B_T, each a tuple of formulas, and its deduplicated
+    conjuncts, parts; beta() is the conjunction of B_T (None for the
     empty conjunction, read as the tautology). A term with no parts
     assembles to true."""
 
-    lits: tuple[Formula, ...]
-    diamonds: tuple[Formula, ...]
-    boxes: tuple[Formula, ...]
-    parts: tuple[Formula, ...]
+    __slots__ = ()
 
     def beta(self):
         return fold_and(self.boxes)

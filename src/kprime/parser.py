@@ -24,7 +24,6 @@ anywhere is reported if there is one, and otherwise the failing token
 from __future__ import annotations
 
 import re
-from typing import NoReturn
 
 from .formulas import And, Box, Dia, Formula, Neg, Or, RESERVED, Var, bottom, top
 
@@ -77,11 +76,12 @@ _CONSTANTS = {"true": top, "false": bottom}
 _OPERAND = ("identifier", "true", "false", "!", "[]", "<>", "(")
 
 
-def _fail(text: str, index: int, expected) -> NoReturn:
-    # Offsets are found only here, by a second scan. Any one-character
-    # token that no rule accepts raises first; otherwise the index-th
-    # token, or the end of input, is the culprit, and the reserved name
-    # where an operand is expected has an error of its own.
+def _fail(text: str, index: int, expected):
+    # Always raises ParseError. Offsets are found only here, by a second
+    # scan. Any one-character token that no rule accepts raises first;
+    # otherwise the index-th token, or the end of input, is the culprit,
+    # and the reserved name where an operand is expected has an error of
+    # its own.
     tokens = [(m.group(), m.start()) for m in _SCAN.finditer(text)]
     for value, charpos in tokens:
         if len(value) == 1 and value not in "!&|()" + _IDENT_START:

@@ -12,7 +12,7 @@ cover queries on subsets of literals are decided by bitmasks over the
 surface branches of the diamond's body when that body is propositional.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .decision import (
     countermodel,
@@ -44,21 +44,18 @@ from .grammar import ClauseView4, SyntacticKind, _flatten, _split4, view4
 COVER_BRANCH_BOUND = 64
 
 
-@dataclass(frozen=True, slots=True)
-class WitnessUniverse:
-    """Top-level modal bodies of a formula, plus an optional chosen subset."""
+class WitnessUniverse(namedtuple("WitnessUniverse", "x_set subset", defaults=(None,))):
+    """Top-level modal bodies of a formula, x_set, plus an optional chosen
+    subset; each a tuple of formulas."""
 
-    x_set: tuple[Formula, ...]
-    subset: tuple[Formula, ...] | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class TestOutcome:
-    """Verdict of a recognition run and the step that settled it."""
+class TestOutcome(namedtuple("TestOutcome", "verdict step witness", defaults=(None,))):
+    """Verdict of a recognition run (a bool), the step that settled it (an
+    int), and the WitnessUniverse of a diamond subtest, or None."""
 
-    verdict: bool
-    step: int
-    witness: WitnessUniverse | None = None
+    __slots__ = ()
 
 
 def witness_universe(f: Formula) -> WitnessUniverse:
@@ -219,15 +216,16 @@ def _reach_table(phi: Formula, psi: Formula, xs) -> list[int] | None:
     return needs
 
 
-@dataclass(frozen=True, slots=True)
-class _LiteralCover:
+class _LiteralCover(namedtuple("_LiteralCover", "literals pairs branches")):
     """Bits that decide whether psi entails the disjunction of an S made of
     literals of the universe: S covers psi iff it holds a complementary
-    pair or meets every consistent surface branch of nnf(psi)."""
+    pair or meets every consistent surface branch of nnf(psi).
 
-    literals: int  # the positions of the universe that hold a literal
-    pairs: tuple[tuple[int, int], ...]  # positions of v and of !v, per v
-    branches: tuple[int, ...]  # per branch, the positions of its literals
+    literals is the mask of the universe positions that hold a literal,
+    pairs the (v, !v) position masks per variable v, and branches the
+    mask of each branch's literal positions."""
+
+    __slots__ = ()
 
     def covers(self, mask: int) -> bool:
         return (any(mask & pos and mask & neg for pos, neg in self.pairs)

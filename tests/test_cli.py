@@ -8,6 +8,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 import kprime
 from kprime import And, Box, Dia, Neg, Or, Var, cli, parse
 from kprime.decision import entails, equivalent
@@ -391,5 +393,12 @@ def test_examples_script():
 
 
 def test_every_export_is_defined():
-    # from kprime import * breaks on a name in __all__ the package lacks
-    assert [name for name in kprime.__all__ if not hasattr(kprime, name)] == []
+    # the names of __all__ resolve on first access; from kprime import *
+    # breaks on a name the package lacks
+    names = {}
+    exec("from kprime import *", names)
+    assert sorted(set(names) - {"__builtins__"}) == kprime.__all__
+    assert all(names[name] is getattr(kprime, name) for name in kprime.__all__)
+    assert set(kprime.__all__) <= set(dir(kprime))
+    with pytest.raises(AttributeError, match="nope"):
+        kprime.nope
