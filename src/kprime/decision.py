@@ -19,11 +19,11 @@ root, child trees), or None when the formula is unsatisfiable: the first
 branch whose modal step passes, with one child per diamond of that branch
 built from the diamond's body and all box bodies.  Variables the root does
 not name are false, and the children are all the root's successors, so
-every literal of the branch holds at the root.  Its results, models or
-None, are memoized across calls in a bounded LRU cache keyed on interned
-formulas, so a lookup hashes no subtree; sat, entails and countermodel all
-read it, and a cached model is shared by every tree that holds it as a
-child.  true_at_root evaluates an NNF formula on such a tree.
+every literal of the branch holds at the root.  Models and None are
+memoized in a bounded LRU cache keyed on a tuple of interned conjuncts, as
+a modal step's diamond body and box bodies, never built into a conjunction;
+sat, entails and countermodel all read it, and a cached model is shared by
+every tree holding it.  true_at_root evaluates an NNF formula on a tree.
 """
 
 from __future__ import annotations
@@ -39,39 +39,41 @@ from .formulas import (
     Or,
     Var,
     dual_negate,
-    fold_and,
     nnf,
 )
 
 
-def surface_branches(g: Formula, skip_satisfied: bool = False):
-    """Stream the surface-DNF branches of an NNF formula as tuples of
-    surface literals (variables, negated variables, boxes, diamonds) in
-    source order. Propositionally clashing branches are pruned; duplicate
-    literals collapse to their first occurrence.  skip_satisfied passes
-    over an Or with a side already on the branch; the branches kept still
-    make a DNF of g, as every model of g satisfies one of them."""
+def surface_branches(*roots: Formula, skip_satisfied: bool = False):
+    """Stream the surface-DNF branches of the conjunction of the NNF roots,
+    unbuilt, as tuples of surface literals (variables, negated variables,
+    boxes, diamonds) in source order. Propositionally clashing branches are
+    pruned; duplicate literals collapse to their first occurrence.
+    skip_satisfied passes over an Or with a side already on the branch; the
+    branches kept still make a DNF, as every model satisfies one of them."""
     branch: dict[Formula, str | None] = {}  # literal -> its variable name
     sign: dict[str, bool] = {}
     choices = []  # (rest of the walk at an Or's right side, branch length)
-    todo = (g, None)
+    todo = None
+    for h in reversed(roots):
+        todo = (h, todo)
     while True:
         while todo is not None:
             h, todo = todo
-            if isinstance(h, And):
+            cls = type(h)
+            if cls is And:
                 todo = (h.left, (h.right, todo))
                 continue
-            if isinstance(h, Or):
+            if cls is Or:
                 if skip_satisfied and (h.left in branch or h.right in branch):
                     continue
                 choices.append(((h.right, todo), len(branch)))
                 todo = (h.left, todo)
                 continue
-            if isinstance(h, Var):
+            if cls is Var:
                 name, value = h.name, True
-            elif isinstance(h, Neg) and isinstance(h.child, Var):
+            elif cls is Neg and type(h.child) is Var:
                 name, value = h.child.name, False
-            elif isinstance(h, (Box, Dia)):
+            elif cls is Box or cls is Dia:
                 name = None
             else:
                 raise ValueError("surface_branches needs NNF input")
@@ -95,33 +97,43 @@ def _children(branch):
     """The modal step for one propositionally consistent surface branch:
     the models of each diamond body & all box bodies, () when the branch
     has no diamond, or None as soon as one of them is unsatisfiable."""
-    dias = [p.child for p in branch if isinstance(p, Dia)]
+    dias = [p.child for p in branch if type(p) is Dia]
     if not dias:
         return ()
-    chi = fold_and([p.child for p in branch if isinstance(p, Box)])
+    boxes = [p.child for p in branch if type(p) is Box]
     children = []
     for p in dias:
-        model = _model_nnf(p if chi is None else And(p, chi))
+        model = _model_nnf(_spine([p, *boxes]))
         if model is None:
             return None
         children.append(model)
     return tuple(children)
 
 
+def _spine(roots: list) -> tuple:
+    # the memo key of the conjunction of roots: the conjuncts on the right
+    # spine of fold_and(roots), so []a & []b and [](a & b) share one entry
+    while type(roots[-1]) is And:
+        last = roots.pop()
+        roots += last.left, last.right
+    return tuple(roots)
+
+
 @lru_cache(maxsize=1 << 18)
-def _model_nnf(g: Formula):
-    """A tree model of the NNF formula g, or None when g is unsatisfiable."""
-    for branch in surface_branches(g, skip_satisfied=True):
+def _model_nnf(roots: tuple):
+    """A tree model of the conjunction of the NNF roots, or None."""
+    for branch in surface_branches(*roots, skip_satisfied=True):
         children = _children(branch)
         if children is not None:
-            return frozenset(p.name for p in branch if isinstance(p, Var)), children
+            return frozenset([p.name for p in branch if type(p) is Var]), children
     return None
 
 
 def countermodel(f: Formula | None, g: Formula):
     """A tree model of f & !g (of !g when f is None), or None iff f |= g."""
+    # the key holds !g whole, so the memo keeps g's weakly held dual alive
     neg = dual_negate(g)
-    return _model_nnf(neg if f is None else And(nnf(f), neg))
+    return _model_nnf((neg,) if f is None else (nnf(f), neg))
 
 
 def true_at_root(model, g: Formula) -> bool:
@@ -161,7 +173,7 @@ def true_at_root(model, g: Formula) -> bool:
 
 def sat(f: Formula) -> bool:
     """True iff f has a Kripke model."""
-    return _model_nnf(nnf(f)) is not None
+    return _model_nnf(_spine([nnf(f)])) is not None
 
 
 def entails(f: Formula, g: Formula) -> bool:

@@ -1,9 +1,9 @@
 """Formula AST for the modal logic K: constructors, printer, NNF, metrics.
 
-Nodes are hash-consed (Filliatre & Conchon, ML Workshop 2006): building a
-node equal to a live one returns that node, so == is identity and hash O(1).
-Since a node never changes, it also holds its NNF and its dual once they
-are first computed.
+Nodes are hash-consed (Filliatre & Conchon, ML Workshop 2006) by one
+constructor per class, which returns a live node with equal fields, so ==
+is identity and hash O(1), or sets each field of a new one through its slot.
+A node never changes, so it holds its NNF and its dual once computed.
 """
 
 from __future__ import annotations
@@ -44,24 +44,7 @@ class Formula:
     __slots__ = ("__weakref__", "_pos", "_neg")
 
     def __new__(cls, *fields):
-        key = (cls, *fields)
-        entry = _NODES.get(key)
-        if entry is not None:
-            node = entry()
-            if node is not None:
-                return node
-        # a miss only: a key of the wrong length never matches a node
-        if len(fields) != len(cls.__slots__):
-            raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
-        node = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            object.__setattr__(node, name, value)
-        _set_pos(node, None)
-        _set_neg(node, None)
-        entry = _Entry(node, _forget)
-        entry.key = key
-        _NODES[key] = entry
-        return node
+        raise TypeError("%s is not a node class" % cls.__name__)
 
     def __setattr__(self, *args):
         raise AttributeError("formulas are immutable")
@@ -82,6 +65,42 @@ class Formula:
 # the held normal forms are written past the immutability guard
 _set_pos = Formula._pos.__set__
 _set_neg = Formula._neg.__set__
+
+
+def _intern(node: Formula, key: tuple) -> Formula:
+    # a new node holds no form yet, and the table holds it weakly
+    _set_pos(node, None)
+    _set_neg(node, None)
+    entry = _Entry(node, _forget)
+    entry.key = key
+    _NODES[key] = entry
+    return node
+
+
+def _interning(cls):
+    # cls's own constructor for its field count: the live node with these
+    # fields, or a new one with each set through its slot
+    first = getattr(cls, cls.__slots__[0]).__set__
+    if len(cls.__slots__) == 1:
+        def __new__(cls, field):
+            key = (cls, field)
+            if (entry := _NODES.get(key)) is not None and (node := entry()) is not None:
+                return node
+            node = object.__new__(cls)
+            first(node, field)
+            return _intern(node, key)
+    else:
+        second = cls.right.__set__
+        def __new__(cls, left, right):
+            key = (cls, left, right)
+            if (entry := _NODES.get(key)) is not None and (node := entry()) is not None:
+                return node
+            node = object.__new__(cls)
+            first(node, left)
+            second(node, right)
+            return _intern(node, key)
+    __new__.__qualname__ = cls.__name__ + ".__new__"
+    cls.__new__ = __new__
 
 
 class Var(Formula):
@@ -107,6 +126,9 @@ class Box(Formula):
 class Dia(Formula):
     __slots__ = ("child",)
 
+
+for _cls in (Var, Neg, And, Or, Box, Dia):
+    _interning(_cls)
 
 # the reserved literals, and the true/false sugar in either operand order
 _RESERVED_LITS = (Var(RESERVED), Neg(Var(RESERVED)))
@@ -191,12 +213,22 @@ def _nnf(f: Formula, negated: bool) -> Formula:
         if g is not None:
             return g
     if cls is And or cls is Or:
-        left, right = _nnf(f.left, negated), _nnf(f.right, negated)
-        if negated:
-            g = _DUAL[cls](left, right)
-        else:
-            g = f if left is f.left and right is f.right else cls(left, right)
-    elif cls is Box or cls is Dia:
+        # down the right spine of a chain of cls to a node with its form
+        # held, left operands first; back up, holding each spine node's form
+        spine, h = [(f, _nnf(f.left, negated))], f.right
+        while type(h) is cls and (h._neg if negated else h._pos) is None:
+            spine.append((h, _nnf(h.left, negated)))
+            h = h.right
+        g = _nnf(h, negated)
+        for h, left in reversed(spine):
+            if negated:
+                g = _DUAL[cls](left, g)
+                _set_neg(h, weakref.ref(g))
+            else:
+                g = h if left is h.left and g is h.right else cls(left, g)
+                _set_pos(h, True if g is h else g)
+        return g
+    if cls is Box or cls is Dia:
         child = _nnf(f.child, negated)
         if negated:
             g = _DUAL[cls](child)
@@ -264,10 +296,8 @@ def metrics(f: Formula) -> Metrics:
 def fold_or(parts, empty=None):
     """Right-fold a sequence of formulas with |; empty sequence gives `empty`."""
     parts = list(parts)
-    if not parts:
-        return empty
-    f = parts[-1]
-    for g in reversed(parts[:-1]):
+    f = parts.pop() if parts else empty
+    for g in reversed(parts):
         f = Or(g, f)
     return f
 
@@ -275,9 +305,7 @@ def fold_or(parts, empty=None):
 def fold_and(parts, empty=None):
     """Right-fold a sequence of formulas with &; empty sequence gives `empty`."""
     parts = list(parts)
-    if not parts:
-        return empty
-    f = parts[-1]
-    for g in reversed(parts[:-1]):
+    f = parts.pop() if parts else empty
+    for g in reversed(parts):
         f = And(g, f)
     return f

@@ -23,6 +23,19 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def count_nodes(monkeypatch):
+    """Patch the constructor of every node class to append the class of
+    each node asked for to the returned list, built or found interned."""
+    built = []
+    for cls in (Var, Neg, And, Or, Box, Dia):
+        def counting(cls, *fields, real=cls.__new__):
+            built.append(cls)
+            return real(cls, *fields)
+
+        monkeypatch.setattr(cls, "__new__", counting)
+    return built
+
+
 def random_formula(rng, names, depth, size):
     """Random AST; size is the remaining connective budget."""
     if size <= 1:

@@ -145,6 +145,29 @@ def test_formula_file_inputs(tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_flat_chains_of_ten_thousand_literals(tmp_path):
+    # nnf and dual_negate walk the right spine of a flat chain in a loop,
+    # so sat and entail decide 10^4-literal conjunctions and disjunctions
+    # under the default recursion limit
+    assert sys.getrecursionlimit() == 1000
+    lits = ["%sa%d" % ("!" if i % 3 == 0 else "", i) for i in range(10 ** 4)]
+    conj, disj, clash, one = (tmp_path / name for name in ("conj", "disj", "clash", "one"))
+    conj.write_text(" & ".join(lits))
+    disj.write_text(" | ".join(lits))
+    clash.write_text(" & ".join(lits + ["a0"]))
+    one.write_text("a1")
+    for argv, want in (
+        (("sat", conj), (0, "sat\n")),
+        (("sat", disj), (0, "sat\n")),
+        (("sat", clash), (1, "unsat\n")),
+        (("entail", conj, one), (0, "yes\n")),
+        (("entail", one, disj), (0, "yes\n")),
+        (("entail", disj, conj), (1, "no\n")),
+    ):
+        code, out, err = run_cli(*map(str, argv))
+        assert (code, out, err) == (*want, ""), argv
+
+
 def test_nnf_and_dnf4_output():
     code, out, _ = run_cli("nnf", "-e", "!(a & []b)")
     assert (code, out) == (0, "(!a | <>(!b))\n")

@@ -25,6 +25,7 @@ from kprime.semantics import KripkeModel, holds, sat_bruteforce
 from helpers import (
     all_qbf_instances,
     clause_entails_fast,
+    count_nodes,
     random_formula,
     random_nnf,
     random_prop_lit,
@@ -71,9 +72,9 @@ def test_one_walk_per_subformula(monkeypatch):
     walks = []
     real = decision.surface_branches
 
-    def counting(g, skip_satisfied=False):
-        walks.append(g)
-        return real(g, skip_satisfied)
+    def counting(*roots, skip_satisfied=False):
+        walks.append(roots)
+        return real(*roots, skip_satisfied=skip_satisfied)
 
     monkeypatch.setattr(decision, "surface_branches", counting)
     decision._model_nnf.cache_clear()
@@ -265,6 +266,31 @@ def test_qbf_verdicts():
         for seed in range(10):
             q = random_qbf(random.Random(seed), nvars)
             assert sat(qbf_encode(q)) == qbf_valid_bruteforce(q), (nvars, seed)
+
+
+def test_modal_step_builds_no_node(monkeypatch):
+    # the modal step asks for a diamond body and the box bodies as a tuple
+    # of conjuncts, so deciding a prebuilt NNF formula whose one branch
+    # holds a diamond and three boxes builds no conjunction
+    p, q, r, s = (Var("step_%s" % name) for name in "pqrs")
+    f = And(Dia(p), And(Box(q), And(Box(r), Box(Neg(s)))))
+    assert nnf(f) is f
+    decision._model_nnf.cache_clear()
+    built = count_nodes(monkeypatch)
+    assert sat(f)
+    assert built == []
+
+
+def test_box_groupings_share_one_modal_query():
+    # the memo key is the right spine of the conjunction, so a diamond
+    # beside []a & []b and one beside [](a & b) ask the core once
+    p, q, r = (Var("group_%s" % name) for name in "pqr")
+    decision._model_nnf.cache_clear()
+    assert sat(And(Dia(p), And(Box(q), Box(r))))
+    before = decision._model_nnf.cache_info()
+    assert sat(And(Dia(p), Box(And(q, r))))
+    after = decision._model_nnf.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
 
 
 def test_qbf_modal_checks(monkeypatch):
@@ -483,7 +509,7 @@ def test_core_models_satisfy_their_formula():
     verdicts = set()
     seen = set()
     for g in _model_fixtures():
-        model = decision._model_nnf(nnf(g))
+        model = decision._model_nnf(decision._spine([nnf(g)]))
         verdicts.add(model is not None)
         assert (model is None) == (not sat(g)), g
         if model is None:

@@ -11,7 +11,6 @@ from kprime.formulas import (
     And,
     Box,
     Dia,
-    Formula,
     Neg,
     Or,
     Var,
@@ -26,7 +25,7 @@ from kprime.formulas import (
 )
 from kprime.parser import parse
 
-from helpers import random_formula
+from helpers import count_nodes, random_formula
 
 a, b, c = Var("a"), Var("b"), Var("c")
 
@@ -186,14 +185,7 @@ def test_nnf_builds_no_node_for_nnf_input(monkeypatch):
     # variables no other test uses, so no node of its NNF is held yet
     p, q = Var("nnf_once_p"), Var("nnf_once_q")
     not_nnf, want = Neg(And(p, Box(q))), Or(Neg(p), Dia(Neg(q)))
-    built = []
-    real = Formula.__new__
-
-    def counting(cls, *fields):
-        built.append(cls)
-        return real(cls, *fields)
-
-    monkeypatch.setattr(Formula, "__new__", counting)
+    built = count_nodes(monkeypatch)
     for g in inputs:
         assert nnf(g) is g
     assert built == []

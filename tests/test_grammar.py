@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from kprime.decision import _model_nnf, equivalent, surface_branches
+from kprime.decision import _model_nnf, _spine, equivalent, surface_branches
 from kprime.formulas import (
     And,
     Box,
@@ -100,7 +100,7 @@ def test_deep_and_wide_input_without_recursion():
     walked = (list(surface_branches(wide)), list(surface_branches(conj)))
     ok = walked == ([(Var("a%d" % i),) for i in range(n)], [tuple(lits)])
     assert ok
-    assert _model_nnf(wide) is not None and _model_nnf(conj) is not None
+    assert _model_nnf(_spine([wide])) is not None and _model_nnf(_spine([conj])) is not None
     # the parser: prefix chains, nested parentheses, a long right-grouped
     # arrow chain, and wide disjunctions and conjunctions
     names = ["a%d" % i for i in range(n)]
