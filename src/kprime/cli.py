@@ -67,10 +67,11 @@ def _collapse(f: Formula) -> Formula:
     return part(f)
 
 
-def _show(f: Formula, args) -> str:
+def _show(f: Formula, args, texts) -> str:
+    # texts is the command's one table of printed !/[]/<> subformulas
     if getattr(args, "simplify", False):
         f = _collapse(f)
-    return unparse(f)
+    return unparse(f, texts)
 
 
 def _formulas(args) -> list[Formula]:
@@ -95,11 +96,12 @@ def _dumps(obj) -> str:
 
 def _emit_lines(args, formulas) -> int:
     """Print one formula per line as it arrives, or all of them as one JSON list."""
+    texts: dict[Formula, str] = {}
     if args.json:
-        print(_dumps([_show(f, args) for f in formulas]))
+        print(_dumps([_show(f, args, texts) for f in formulas]))
     else:
         for f in formulas:
-            print(_show(f, args))
+            print(_show(f, args, texts))
     return 0
 
 
@@ -129,7 +131,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_nnf(args) -> int:
-    text = _show(nnf(_one_formula(args)), args)
+    text = _show(nnf(_one_formula(args)), args, {})
     print(_dumps({"formula": text}) if args.json else text)
     return 0
 
@@ -152,12 +154,13 @@ def _cmd_implicants(args) -> int:
 
 def _report(args, out) -> int:
     verdict = "yes" if out.verdict else "no"
+    texts: dict[Formula, str] = {}
     if args.json:
         obj = {"verdict": verdict, "step": out.step}
         if out.witness is not None:
-            obj["universe"] = [unparse(x) for x in out.witness.x_set]
+            obj["universe"] = [unparse(x, texts) for x in out.witness.x_set]
             obj["subset"] = (None if out.witness.subset is None
-                             else [unparse(x) for x in out.witness.subset])
+                             else [unparse(x, texts) for x in out.witness.subset])
         print(_dumps(obj))
     else:
         print(verdict)
@@ -165,9 +168,9 @@ def _report(args, out) -> int:
             print("step %d" % out.step)
             if out.witness is not None:
                 print("universe: %s"
-                      % ", ".join(unparse(x) for x in out.witness.x_set))
+                      % ", ".join(unparse(x, texts) for x in out.witness.x_set))
                 if out.witness.subset is not None:
-                    shown = ", ".join(unparse(x) for x in out.witness.subset)
+                    shown = ", ".join(unparse(x, texts) for x in out.witness.subset)
                     print("subset: %s" % (shown if shown else "(empty)"))
     return 0 if out.verdict else 1
 
@@ -199,15 +202,16 @@ def _cmd_gen(args) -> int:
         spec = FamilySpec(args.family, n=args.n, k=args.k,
                           vars=args.n, seed=args.seed)
         formula, distinguished = generate(spec)
+    texts: dict[Formula, str] = {}
     if args.json:
         print(_dumps({
-            "formula": _show(formula, args),
-            "distinguished": [_show(d, args) for d in distinguished],
+            "formula": _show(formula, args, texts),
+            "distinguished": [_show(d, args, texts) for d in distinguished],
         }))
     else:
-        print(_show(formula, args))
+        print(_show(formula, args, texts))
         for d in distinguished:
-            print(_show(d, args))
+            print(_show(d, args, texts))
     return 0
 
 

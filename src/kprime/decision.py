@@ -146,23 +146,25 @@ def true_at_root(model, g: Formula) -> bool:
     names, children = model
     stack = []  # (And/Or node, whether its right operand is the one pending)
     while True:
-        while isinstance(g, (And, Or)):
+        cls = type(g)
+        while cls is And or cls is Or:
             stack.append((g, False))
             g = g.left
-        if isinstance(g, Var):
+            cls = type(g)
+        if cls is Var:
             value = g.name in names
-        elif isinstance(g, Neg) and isinstance(g.child, Var):
+        elif cls is Neg and type(g.child) is Var:
             value = g.child.name not in names
-        elif isinstance(g, Box):
+        elif cls is Box:
             value = all(true_at_root(c, g.child) for c in children)
-        elif isinstance(g, Dia):
+        elif cls is Dia:
             value = any(true_at_root(c, g.child) for c in children)
         else:
             raise ValueError("true_at_root needs NNF input")
         # close every open node whose value is now known
         while stack:
             node, on_right = stack.pop()
-            if on_right or value is isinstance(node, Or):
+            if on_right or value is (type(node) is Or):
                 continue
             stack.append((node, True))
             g = node.right

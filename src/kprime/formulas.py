@@ -150,34 +150,66 @@ def bottom() -> Formula:
     return And(*_RESERVED_LITS)
 
 
-def unparse(f: Formula) -> str:
+_INFIX = {And: " & ", Or: " | "}
+_PREFIX = {Neg: "!", Box: "[]", Dia: "<>"}
+
+
+def unparse(f: Formula, texts: dict[Formula, str] | None = None) -> str:
     """Canonical fully parenthesized text form; parse(unparse(f)) == f, up
-    to the operand order of the true/false sugar, printed as the keyword."""
-    if f in _SUGAR:
-        return _SUGAR[f]
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Neg):
-        return "!" + _arg(f.child)
-    if isinstance(f, Box):
-        return "[]" + _arg(f.child)
-    if isinstance(f, Dia):
-        return "<>" + _arg(f.child)
-    if isinstance(f, And):
-        return "(" + unparse(f.left) + " & " + unparse(f.right) + ")"
-    if isinstance(f, Or):
-        return "(" + unparse(f.left) + " | " + unparse(f.right) + ")"
-    raise TypeError("not a formula: %r" % (f,))
+    to the operand order of the true/false sugar, printed as the keyword.
 
-
-def _arg(f: Formula) -> str:
-    # operand of a unary operator; And/Or already come out parenthesized,
-    # or as a keyword
-    if isinstance(f, Var):
+    texts, when given, maps the top of each !/[]/<> chain printed so far to
+    its text, and is filled as f is printed: pass one dict to every formula
+    of an output to print each shared modal or negated subformula once.
+    The right operands of an &/| chain and the operators of a !/[]/<> chain
+    are each walked in a loop; only the left operands of &/| and the operand
+    below a !/[]/<> chain recurse."""
+    cls = type(f)
+    if cls is Var:
         return f.name
-    if isinstance(f, (And, Or)):
-        return unparse(f)
-    return "(" + unparse(f) + ")"
+    if cls is And or cls is Or:
+        if f in _SUGAR:
+            return _SUGAR[f]
+        # "(" left infix for each node down the right spine, then the last
+        # right operand and one ")" per node
+        lefts = []
+        while True:
+            lefts.append(unparse(f.left, texts) + _INFIX[cls])
+            f = f.right
+            cls = type(f)
+            if cls is Var:
+                last = f.name
+                break
+            if not (cls is And or cls is Or) or f in _SUGAR:
+                last = unparse(f, texts)
+                break
+        return "(" + "(".join(lefts) + last + ")" * len(lefts)
+    if texts and f in texts:
+        return texts[f]
+    # each operator after the first parenthesizes the rest of the chain;
+    # only the top is held, so a chain costs time and memory linear in its
+    # length
+    chain, prefixes = f, []
+    while True:
+        prefix = _PREFIX.get(cls)
+        if prefix is None:
+            raise TypeError("not a formula: %r" % (f,))
+        prefixes.append(prefix)
+        f = f.child
+        cls = type(f)
+        if cls is Var:
+            arg = f.name
+        elif cls is And or cls is Or:
+            arg = unparse(f, texts)
+        elif texts and f in texts:
+            arg = "(" + texts[f] + ")"
+        else:
+            continue
+        break
+    text = "(".join(prefixes) + arg + ")" * (len(prefixes) - 1)
+    if texts is not None:
+        texts[chain] = text
+    return text
 
 
 # the dual of each binary and modal connective, for a negated operand

@@ -7,8 +7,8 @@ from itertools import combinations, product
 from kprime.cli import main as cli_main
 from kprime.decision import entails, is_tautology
 from kprime.families import QbfInstance, XcInstance
-from kprime.formulas import (And, Box, Dia, Metrics, Neg, Or, Var, bottom, dual_negate,
-                             fold_and, fold_or, nnf)
+from kprime.formulas import (_SUGAR, And, Box, Dia, Metrics, Neg, Or, Var, bottom,
+                             dual_negate, fold_and, fold_or, nnf)
 from kprime.grammar import ClauseView4, _dedup, _derives, _flatten
 from kprime.recognize import _box_pi, test_dia_pi_report
 from kprime.semantics import KripkeModel
@@ -236,8 +236,8 @@ def box_pi_verdict(chi, psis, phi_prime) -> bool:
 
 
 # Recursive tree walks, the references that tests/test_walks.py checks the
-# loops of formulas.subformulas, formulas.metrics, semantics.holds,
-# semantics._materialize and cli._collapse against.  collapse_reference splits
+# loops of formulas.subformulas, formulas.metrics, formulas.unparse,
+# semantics.holds, semantics._materialize and cli._collapse against.  collapse_reference splits
 # the true/false sugar like any other disjunction, so it can print the
 # reserved variable; the comparison draws formulas without it.
 
@@ -260,6 +260,35 @@ def subformulas_reference(g):
 
     walk(g)
     return order
+
+
+def unparse_reference(f):
+    """formulas.unparse by one recursive call per node, with no table."""
+    if f in _SUGAR:
+        return _SUGAR[f]
+    if isinstance(f, Var):
+        return f.name
+    if isinstance(f, Neg):
+        return "!" + _operand_reference(f.child)
+    if isinstance(f, Box):
+        return "[]" + _operand_reference(f.child)
+    if isinstance(f, Dia):
+        return "<>" + _operand_reference(f.child)
+    if isinstance(f, And):
+        return "(" + unparse_reference(f.left) + " & " + unparse_reference(f.right) + ")"
+    if isinstance(f, Or):
+        return "(" + unparse_reference(f.left) + " | " + unparse_reference(f.right) + ")"
+    raise TypeError("not a formula: %r" % (f,))
+
+
+def _operand_reference(f):
+    # operand of a unary operator; And/Or already come out parenthesized,
+    # or as a keyword
+    if isinstance(f, Var):
+        return f.name
+    if isinstance(f, (And, Or)):
+        return unparse_reference(f)
+    return "(" + unparse_reference(f) + ")"
 
 
 def metrics_reference(f):

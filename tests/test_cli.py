@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import kprime
-from kprime import And, Box, Dia, Neg, Or, Var, cli, parse
+from kprime import And, Box, Dia, Neg, Or, Var, cli, formulas, parse
 from kprime.decision import entails, equivalent
-from kprime.formulas import fold_and, fold_or, unparse
+from kprime.families import FamilySpec, generate
+from kprime.formulas import fold_and, fold_or, nnf, subformulas, unparse
 from kprime.grammar import DefId, SyntacticKind
 
 from helpers import random_formula, run_cli
@@ -166,6 +167,52 @@ def test_flat_chains_of_ten_thousand_literals(tmp_path):
     ):
         code, out, err = run_cli(*map(str, argv))
         assert (code, out, err) == (*want, ""), argv
+
+
+def test_printing_commands_on_flat_chains_of_a_hundred_thousand_literals(tmp_path):
+    # the printer walks the right spine of a chain in a loop, so nnf, dnf4
+    # and cnf4 print 10^5-literal conjunctions and disjunctions under the
+    # default recursion limit
+    assert sys.getrecursionlimit() == 1000
+    lits = ["%sa%d" % ("!" if i % 3 == 0 else "", i) for i in range(10 ** 5)]
+    for name, joiner in (("conj", " & "), ("disj", " | ")):
+        path = tmp_path / name
+        path.write_text(joiner.join(lits))
+        want = nnf(parse(path.read_text()))
+        for command, fold in (("nnf", fold_or), ("dnf4", fold_or), ("cnf4", fold_and)):
+            code, out, err = run_cli(command, str(path))
+            assert (code, err) == (0, ""), (command, name)
+            assert fold([parse(line) for line in out.splitlines()]) is want, (command, name)
+
+
+def test_genpi_prints_each_shared_subformula_once(monkeypatch):
+    # one table per command: each distinct !/[]/<> subformula of the output
+    # is printed once, and every later occurrence reads its text
+    text = unparse(generate(FamilySpec("thm21", n=2))[0])
+    tables, prefixes = [], []
+
+    def recording(f, texts=None, real=unparse):
+        tables.append(texts)
+        return real(f, texts)
+
+    class Prefixes(dict):
+        def get(self, cls):
+            prefixes.append(cls)
+            return super().get(cls)
+
+    monkeypatch.setattr(cli, "unparse", recording)
+    monkeypatch.setattr(formulas, "_PREFIX", Prefixes(formulas._PREFIX))
+    code, out, _ = run_cli("genpi", "-e", text)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == len(tables) == 81
+    table = tables[0]
+    assert all(t is table for t in tables)
+    modal = {g for line in lines for g in subformulas(parse(line))
+             if type(g) in (Neg, Box, Dia)}
+    assert set(table) == modal and len(modal) == 12
+    # no chain nests here, so each operator printed is one table entry
+    assert len(prefixes) == 12
+    assert all(table[g] == unparse(g) for g in modal)
 
 
 def test_nnf_and_dnf4_output():

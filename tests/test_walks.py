@@ -1,19 +1,22 @@
 """The one-loop walkers over formulas.subformulas: metrics, holds, the
 oracle's slot order and what --simplify prints, checked against the
 recursive tree walks they replaced, and on deep and shared inputs; the
-oracle's witness trees become models by a loop, checked the same way."""
+oracle's witness trees become models by a loop, and the printer walks its
+chains by loops, each checked the same way."""
 
 import random
 import sys
 
 from kprime import semantics
 from kprime.cli import _collapse
-from kprime.formulas import And, Box, Metrics, Neg, Or, Var, metrics, nnf, subformulas
+from kprime.formulas import (RESERVED, And, Box, Dia, Metrics, Neg, Or, Var, bottom,
+                             fold_and, fold_or, metrics, nnf, subformulas, top, unparse)
+from kprime.parser import parse
 from kprime.semantics import holds, tree_model
 
 from helpers import (collapse_reference, holds_reference, materialize_reference,
                      metrics_reference, random_formula, random_model, run_cli,
-                     subformulas_reference)
+                     subformulas_reference, unparse_reference)
 
 NAMES = ["a", "b", "c"]
 
@@ -81,3 +84,73 @@ def test_shared_nodes_are_walked_once():
     assert _collapse(f) is f
     g = Box(f)
     assert _collapse(Or(g, Or(a, g))) is Or(g, a)
+
+
+_C = Var(RESERVED)
+# (formula, the node its text reads back as): both operand orders of the
+# true/false sugar read back as the canonical top() and bottom()
+_SUGARS = ((top(), top()), (Or(Neg(_C), _C), top()),
+           (bottom(), bottom()), (And(Neg(_C), _C), bottom()))
+
+
+def _random_printable(rng, depth):
+    """A random (formula, read-back node) pair: the sugar in either operand
+    order at any position, &/| chains mixing both operators and nesting to
+    the left or the right, and chains of !/[]/<>."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.15:
+        if roll < 0.04:
+            return rng.choice(_SUGARS)
+        v = Var(rng.choice(NAMES))
+        return v, v
+    if roll < 0.45:
+        ops = [rng.choice((Neg, Box, Dia)) for _ in range(rng.choice((1, 1, 2, 4)))]
+        f, back = _random_printable(rng, depth - 1)
+        for op in ops:
+            f, back = op(f), op(back)
+        return f, back
+    pairs = [_random_printable(rng, depth - 1) for _ in range(rng.choice((2, 2, 3, 5)))]
+    f, back = pairs.pop()
+    for g, g_back in reversed(pairs):
+        op = rng.choice((And, Or))
+        f, back = (op(g, f), op(g_back, back)) if rng.random() < 0.8 else (
+            op(f, g), op(back, g_back))
+    return f, back
+
+
+def test_unparse_matches_its_recursive_reference():
+    rng = random.Random(24)
+    shared = {}
+    for _ in range(20000):
+        f, back = _random_printable(rng, rng.randint(0, 5))
+        text = unparse_reference(f)
+        assert unparse(f) == unparse(f, shared) == text
+        assert parse(text) is back
+        # what --simplify prints
+        g = _collapse(f)
+        text = unparse_reference(g)
+        assert unparse(g) == unparse(g, shared) == text
+        assert unparse(parse(text)) == text
+
+
+def test_long_chains_print_under_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    n = 10**5
+    lits = [Var("a%d" % i) for i in range(n)]
+    mixed = lits[-1]
+    for i, lit in enumerate(reversed(lits[:-1])):
+        mixed = (And if i % 3 else Or)(lit, mixed)
+    unary = fold_and([top(), lits[0], bottom()])
+    for i in range(n):
+        unary = (Neg, Box, Dia)[i % 3](unary)
+    for f in (fold_and(lits), fold_or(lits), mixed, unary, Box(fold_or(lits))):
+        texts = {}
+        text = unparse(f, texts)
+        assert parse(text) is f
+        assert unparse(f) == unparse(f, texts) == text
+    # a !/[]/<> chain is held at its top alone, so its text is held once
+    texts = {}
+    text = unparse(unary, texts)
+    assert list(texts.items()) == [(unary, text)]
+    assert text.startswith("!(<>([](!(<>([](")
+    assert text.endswith("<>([](!(true & (a0 & false))" + ")" * (n - 1))
