@@ -170,8 +170,8 @@ def _report(args, out) -> int:
                 print("universe: %s"
                       % ", ".join(unparse(x, texts) for x in out.witness.x_set))
                 if out.witness.subset is not None:
-                    shown = ", ".join(unparse(x, texts) for x in out.witness.subset)
-                    print("subset: %s" % (shown if shown else "(empty)"))
+                    print("subset: %s"
+                          % ", ".join(unparse(x, texts) for x in out.witness.subset))
     return 0 if out.verdict else 1
 
 

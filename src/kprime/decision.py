@@ -136,6 +136,14 @@ def countermodel(f: Formula | None, g: Formula):
     return _model_nnf((neg,) if f is None else (nnf(f), neg))
 
 
+def _countermodel_any(f: Formula, parts) -> tuple | None:
+    """A tree model of f & !p1 & ... & !pn for parts (p1, ..., pn), or None
+    iff f |= p1 | ... | pn.  The negations are memo key conjuncts, so no
+    disjunction or dual chain is built; the walk order, and so the model,
+    is that of countermodel(f, p1 | ... | pn) for nonempty parts."""
+    return _model_nnf(_spine([nnf(f), *map(dual_negate, parts)]))
+
+
 def true_at_root(model, g: Formula) -> bool:
     """Truth of the NNF formula g at the root of a tree model.
 

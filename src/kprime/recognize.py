@@ -10,12 +10,21 @@ include/exclude search whether a qualifying subset exists, and recovers
 the canonical (smallest, then leftmost) subset only when one does.  Its
 cover queries on subsets of literals are decided by bitmasks over the
 surface branches of the diamond's body when that body is propositional.
+
+The box check decides every box disjunct in one walk of the surface
+branches of the formula: a branch either offers a satisfiable term to the
+remainder of each box, or to that of one box only, or to none, and its
+modal queries are those the implicate check of step 1 already memoized.
+Recognition asks each "f entails p1 or ... or pn" as the tuple of
+conjuncts f, !p1, ..., !pn, and builds no disjunction for it.
 """
 
 from collections import namedtuple
 
 from .decision import (
-    countermodel,
+    _countermodel_any,
+    _model_nnf,
+    _spine,
     entails,
     is_tautology,
     sat,
@@ -31,7 +40,6 @@ from .formulas import (
     Neg,
     Or,
     Var,
-    bottom,
     dual_negate,
     fold_and,
     fold_or,
@@ -88,7 +96,7 @@ def _delete_redundant(parts: list[Formula]) -> list[Formula]:
     k = 0
     while len(parts) > 1 and k < len(parts):
         rest = parts[:k] + parts[k + 1 :]
-        if entails(parts[k], fold_or(rest)):
+        if _countermodel_any(parts[k], rest) is None:
             parts = rest
         else:
             k += 1
@@ -102,20 +110,9 @@ def test_prop_pi(l: ClauseView4, phi: Formula) -> bool:
         raise ValueError("not an implicate: %s" % whole)
     for g in l.gammas:
         rest = [p for p in l.parts if p != g]
-        if entails(phi, fold_or(rest, bottom())):
+        if _countermodel_any(phi, rest) is None:
             return False
     return True
-
-
-def _box_pi(body: Formula, phi_prime: Formula) -> bool:
-    """Whether box(body), a non-tautological implicate of phi_prime, is
-    strongest over it: iff body entails the box conjunction of some term of
-    dnf4(phi_prime), or a term has no boxes; an empty term stream fails."""
-    for t in dnf4(phi_prime):
-        beta = t.beta()
-        if beta is None or entails(body, beta):
-            return True
-    return False
 
 
 def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
@@ -169,7 +166,7 @@ def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
             if any(not mask & ~fm for fm in falsified):
                 covered[mask] = False
             else:
-                model = countermodel(psi, fold_or(list(members(mask)), bottom()))
+                model = _countermodel_any(psi, members(mask))
                 covered[mask] = model is None
                 if model is not None:
                     falsified.append(sum(1 << k for k, x in enumerate(xs)
@@ -279,6 +276,59 @@ def _first_refutation(n: int, reaches, covers, size: int | None = None) -> int |
     return None
 
 
+def _boxes_strongest(view: ClauseView4, phi: Formula) -> bool:
+    """Step 5: whether every box disjunct []chi_i of the clause l, an
+    implicate of phi and no tautology, is strongest over
+    phi_i = phi & !(l minus []chi_i), in one walk of the surface branches B
+    of nnf(phi).
+
+    The terms of phi_i extend a B by the literals !gamma, []!psi and
+    <>!chi_j for j != i of the negated rest of l.  Such a term is
+    satisfiable iff B holds no gamma, every diamond of B passes the modal
+    step against its boxes (those of B and the []!psi), and so does every
+    <>!chi_j with j != i; so at most one <>!chi_j may fail, and then only
+    box j uses B.  Box i passes on a satisfiable term with no box, or whose
+    box conjunction beta is entailed by chi_i & !psi...  The walk skips an
+    Or with a side already on the branch: the branch kept is a term of its
+    own and holds fewer literals than the ones it stands for, and dropping
+    literals keeps both satisfiability and the entailment of beta.
+
+    The modal queries are mostly memo keys that step 1's entails(phi, l)
+    filled.  On a normalized l the <>!chi_j condition never rejects a box
+    that beta would pass, as chi_i & !psi... |= beta |= chi_j would make
+    []chi_i redundant; it is asked first all the same, as those memo hits,
+    so that only the boxes a branch can pass ask whether they entail beta.
+    """
+    not_psis = [dual_negate(p) for p in view.diamonds]
+    bodies = [fold_and([chi] + not_psis) for chi in view.boxes]
+    not_chis = [dual_negate(chi) for chi in view.boxes]
+    gammas = set(view.gammas)
+    pending = set(range(len(bodies)))  # the boxes not passed yet
+    for branch in surface_branches(nnf(phi), skip_satisfied=True):
+        if not gammas.isdisjoint(branch):
+            continue
+        boxes = list(dict.fromkeys([p.child for p in branch if type(p) is Box] + not_psis))
+        if any(_model_nnf(_spine([p.child, *boxes])) is None
+               for p in branch if type(p) is Dia):
+            continue
+        failed = (j for j, q in enumerate(not_chis)
+                  if _model_nnf(_spine([q, *boxes])) is None)
+        j = next(failed, None)
+        if j is None:
+            usable = set(pending)
+        elif j in pending and next(failed, None) is None:
+            usable = {j}
+        else:
+            continue
+        if boxes:
+            beta = (fold_and(boxes),)
+            usable = {i for i in usable if _countermodel_any(bodies[i], beta) is None}
+        pending -= usable
+        if not pending:
+            return True
+    return False
+
+
 def test_pi(l: Formula, phi: Formula) -> bool:
     return test_pi_report(l, phi).verdict
 
@@ -288,7 +338,10 @@ def test_pi_report(l: Formula, phi: Formula) -> TestOutcome:
 
     Steps: 1 implicate check, 2 limit cases, 3 normalization, 4
     propositional literals, 5 box disjuncts against the remainder, 6 the
-    diamond disjuncts merged into one body.
+    diamond disjuncts merged into one body.  Step 5 decides every box
+    disjunct in one walk of the surface branches of nnf(phi), asking the
+    core the modal queries that step 1 already memoized (see
+    _boxes_strongest); it streams no dnf4 and builds no remainder formula.
     """
     view = view4(l, SyntacticKind.CLAUSE)
     if not entails(phi, l):
@@ -300,15 +353,9 @@ def test_pi_report(l: Formula, phi: Formula) -> TestOutcome:
     view = normalize_clause(view)
     if not test_prop_pi(view, phi):
         return TestOutcome(False, 4)
-    # phi entails l and l is no tautology, so each box(body) below is a
-    # non-tautological implicate of its phi_prime
+    if view.boxes and not _boxes_strongest(view, phi):
+        return TestOutcome(False, 5)
     psis = list(view.diamonds)
-    not_psis = [dual_negate(p) for p in psis]
-    for chi in view.boxes:
-        rest = [p for p in view.parts if p != Box(chi)]
-        phi_prime = And(phi, dual_negate(fold_or(rest))) if rest else phi
-        if not _box_pi(fold_and([chi] + not_psis), phi_prime):
-            return TestOutcome(False, 5)
     if psis:
         rest = [p for p in view.parts if not isinstance(p, Dia)]
         phi_prime = And(phi, dual_negate(fold_or(rest))) if rest else phi

@@ -10,7 +10,8 @@ from kprime.families import QbfInstance, XcInstance
 from kprime.formulas import (_SUGAR, And, Box, Dia, Metrics, Neg, Or, Var, bottom,
                              dual_negate, fold_and, fold_or, nnf)
 from kprime.grammar import ClauseView4, _dedup, _derives, _flatten
-from kprime.recognize import _box_pi, test_dia_pi_report
+from kprime.dnf import dnf4
+from kprime.recognize import test_dia_pi_report
 from kprime.semantics import KripkeModel
 
 
@@ -223,7 +224,7 @@ def box_pi_verdict(chi, psis, phi_prime) -> bool:
     The clause tested is box(chi and not-psi_1 and ... and not-psi_m); it
     passes iff its body entails the box conjunction of some term of
     dnf4(phi_prime).  A term without boxes passes trivially; an empty term
-    stream fails.  Unlike recognize._box_pi, it checks its input: raises
+    stream fails.  Unlike box_pi_reference, it checks its input: raises
     ValueError on a tautologous clause or one that phi_prime does not entail.
     """
     body = fold_and([chi] + [dual_negate(p) for p in psis])
@@ -232,7 +233,36 @@ def box_pi_verdict(chi, psis, phi_prime) -> bool:
         raise ValueError("tautologous box clause: %s" % clause)
     if not entails(phi_prime, clause):
         raise ValueError("not an implicate: %s" % clause)
-    return _box_pi(body, phi_prime)
+    return box_pi_reference(body, phi_prime)
+
+
+# Step 5 of recognition as first written, the reference that
+# tests/test_pirec.py checks recognize._boxes_strongest against: one
+# remainder phi_prime and one dnf4 stream per box disjunct.
+
+
+def box_step_reference(view, phi) -> bool:
+    """Whether every box disjunct of the clause view, an implicate of phi
+    and no tautology, is strongest over phi minus the rest of the clause."""
+    psis = list(view.diamonds)
+    not_psis = [dual_negate(p) for p in psis]
+    for chi in view.boxes:
+        rest = [p for p in view.parts if p != Box(chi)]
+        phi_prime = And(phi, dual_negate(fold_or(rest))) if rest else phi
+        if not box_pi_reference(fold_and([chi] + not_psis), phi_prime):
+            return False
+    return True
+
+
+def box_pi_reference(body, phi_prime) -> bool:
+    """Whether box(body), a non-tautological implicate of phi_prime, is
+    strongest over it: iff body entails the box conjunction of some term of
+    dnf4(phi_prime), or a term has no boxes; an empty term stream fails."""
+    for t in dnf4(phi_prime):
+        beta = t.beta()
+        if beta is None or entails(body, beta):
+            return True
+    return False
 
 
 # Recursive tree walks, the references that tests/test_walks.py checks the

@@ -1,19 +1,22 @@
+import gc
 import random
 from itertools import combinations, product
 
 import pytest
 
 from kprime import And, Box, Dia, Neg, Or, Var, bottom, parse, top
-from kprime.decision import countermodel, entails, equivalent, is_tautology, sat
+from kprime import decision
+from kprime.decision import countermodel, entails, equivalent, is_tautology, sat, surface_branches
 from kprime.dnf import delta_set, dnf4
 from kprime.families import FamilySpec, generate
-from kprime.formulas import RESERVED, dual_negate, fold_and, fold_or
+from kprime.formulas import _SUGAR, RESERVED, dual_negate, fold_and, fold_or, nnf, subformulas
 from kprime.generate import gen_pi
-from kprime.grammar import GrammarError, SyntacticKind, _flatten, view4
+from kprime.grammar import GrammarError, SyntacticKind, view4
 from kprime import recognize as rec
 from kprime.recognize import normalize_clause, witness_universe
 
-from helpers import box_pi_verdict, dia_pi_verdict, random_formula, random_surface_clause
+from helpers import (box_pi_verdict, box_step_reference, count_nodes, dia_pi_verdict,
+                     random_formula, random_surface_clause)
 
 a, b, c, d, e, f = (Var(n) for n in "abcdef")
 
@@ -122,14 +125,15 @@ def test_normalize_matches_reference():
 
 
 def test_normalize_checks_each_disjunct_once_per_pass(monkeypatch):
+    # normalization asks whether p |= \/rest as one query of the core's
     calls = []
-    real = rec.entails
+    real = rec._countermodel_any
 
-    def counting(f, g):
-        calls.append((f, g))
-        return real(f, g)
+    def counting(f, parts):
+        calls.append((f, parts))
+        return real(f, parts)
 
-    monkeypatch.setattr(rec, "entails", counting)
+    monkeypatch.setattr(rec, "_countermodel_any", counting)
     out = normalize_clause(clause_view("a | <>b | <>(b & c)"))
     assert out.parts == (a, Dia(b))
     # one check per disjunct, and no second pass without a box
@@ -176,6 +180,109 @@ def test_box_pi_examples():
         box_pi_verdict(Or(a, Neg(a)), [], a)
     with pytest.raises(ValueError):
         box_pi_verdict(a, [], b)
+
+
+def _sugared(rng, f):
+    # f, or f beside the true/false sugar in either operand order
+    r = rng.random()
+    if r < 0.4:
+        return rng.choice([And(top(), f), And(f, top()), Or(bottom(), f), Or(f, bottom())])
+    return f
+
+
+def _stronger(rng, p):
+    # a disjunct that entails the disjunct p: p itself, its body
+    # strengthened, or p beside a further box
+    if isinstance(p, (Var, Neg)) or rng.random() < 0.4:
+        return p
+    extra = nnf(random_formula(rng, "abc", 0, rng.randint(1, 3)))
+    if rng.random() < 0.5:
+        return type(p)(And(p.child, extra))
+    return And(p, Box(extra))
+
+
+def _box_step_pairs(rng):
+    # a random clause l of gammas, boxes and diamonds, and a phi that holds
+    # a disjunction of parts entailing some of l's disjuncts, so phi |= l;
+    # phi's other conjunct may offer a branch <>x & []!x failing the modal step
+    while True:
+        lits = [Neg(v) if rng.random() < 0.5 else v
+                for v in (Var(rng.choice("abc")) for _ in range(rng.randint(0, 2)))]
+        parts = lits + [op(nnf(random_formula(rng, "abc", rng.randint(0, 1), rng.randint(1, 4))))
+                        for op, k in ((Box, rng.randint(1, 3)), (Dia, rng.randint(0, 2)))
+                        for _ in range(k)]
+        rng.shuffle(parts)
+        chosen = [_sugared(rng, _stronger(rng, p)) for p in parts if rng.random() < 0.7]
+        g = random_formula(rng, "abc", 1, rng.randint(1, 5))
+        if rng.random() < 0.3:
+            x = nnf(random_formula(rng, "abc", 0, 2))
+            g = Or(And(Dia(x), Box(dual_negate(x))), g)
+        yield fold_or(parts), And(_sugared(rng, g), fold_or(chosen or parts[:1]))
+
+
+def test_box_step_matches_reference():
+    # step 5 in one walk of phi's branches against the step as first
+    # written, a dnf4 stream per box; on the normalized clause that step 5
+    # gets, and on the clause as written, where a box may entail another
+    # and the negated-box condition is not implied by the others
+    rng = random.Random(91)
+    seen = dict.fromkeys(("yes", "no", "gammas", "boxes", "psis", "sugar",
+                          "modal fail"), 0)
+    checked = 0
+    for l, phi in _box_step_pairs(rng):
+        if not entails(phi, l) or not sat(phi) or is_tautology(l):
+            continue
+        raw = view4(l, SyntacticKind.CLAUSE)
+        view = normalize_clause(raw)
+        if not view.boxes or not rec.test_prop_pi(view, phi):
+            continue
+        want = box_step_reference(view, phi)
+        assert rec._boxes_strongest(view, phi) == want, (l, phi)
+        assert rec._boxes_strongest(raw, phi) == box_step_reference(raw, phi), (l, phi)
+        seen["yes" if want else "no"] += 1
+        seen["gammas"] += bool(view.gammas)
+        seen["boxes"] += len(view.boxes) > 1
+        seen["psis"] += bool(view.diamonds)
+        seen["sugar"] += any(g in _SUGAR for g in subformulas(phi))
+        seen["modal fail"] += any(decision._children(branch) is None
+                                  for branch in surface_branches(nnf(phi)))
+        checked += 1
+        if checked == 2000:
+            break
+    assert seen["no"] >= 200 and seen["yes"] >= 500, seen
+    assert min(seen.values()) >= 200, seen
+
+
+def test_box_step_walks_phi_once_on_thm18(monkeypatch):
+    # thm18 n=4: the distinguished clause has 16 box disjuncts.  Deciding
+    # them by one remainder and one dnf4 stream per box made 1 041 memo
+    # hits on the same 307 core problems and asked for 1 129 nodes; the
+    # one walk asks step 1's modal queries again as memo hits, and of the
+    # 171 nodes asked for it asks only the 48 of each branch's box
+    # conjunction, whose dual step 1 holds already
+    decision._model_nnf.cache_clear()
+    gc.collect()
+    phi, (dist,) = generate(FamilySpec("thm18", n=4))
+    walks, streams = [], []
+    real_walk, real_dnf4 = rec.surface_branches, rec.dnf4
+
+    def walking(*roots, **kwargs):
+        walks.append(roots)
+        return real_walk(*roots, **kwargs)
+
+    def streaming(f):
+        streams.append(f)
+        return real_dnf4(f)
+
+    monkeypatch.setattr(rec, "surface_branches", walking)
+    monkeypatch.setattr(rec, "dnf4", streaming)
+    built = count_nodes(monkeypatch)
+    out = rec.test_pi_report(dist, phi)
+    info = decision._model_nnf.cache_info()
+    assert (out.verdict, out.step) == (True, 5)
+    assert walks == [(nnf(phi),)] and streams == []
+    assert (info.misses, info.hits) == (307, 377)
+    assert len(built) == 171
 
 
 def test_dia_pi_first_example():
@@ -427,7 +534,10 @@ def test_dia_pi_search_matches_exhaustive_enumeration(monkeypatch):
     refuting = wide = 0
     for psi, phi in pairs:
         expected = _dia_pi_exhaustive(psi, phi)
-        assert rec.test_dia_pi_report(psi, phi) == expected, (psi, phi)
+        got = rec.test_dia_pi_report(psi, phi)
+        assert got == expected, (psi, phi)
+        # phi is satisfiable by then, so no term reaches the empty subset
+        assert got.witness is None or got.witness.subset != (), (psi, phi)
         if expected.witness is not None and expected.witness.subset is not None:
             refuting += 1
             wide += len(expected.witness.subset) > 1
@@ -445,7 +555,7 @@ def test_dia_pi_streams_terms_once_and_entails_linearly(monkeypatch):
     entailments = []
     real_dnf4 = rec.dnf4
     real_entails = rec.entails
-    real_countermodel = rec.countermodel
+    real_countermodel = rec._countermodel_any
 
     def counting_dnf4(f):
         streams.append(f)
@@ -462,7 +572,7 @@ def test_dia_pi_streams_terms_once_and_entails_linearly(monkeypatch):
 
     monkeypatch.setattr(rec, "dnf4", counting_dnf4)
     monkeypatch.setattr(rec, "entails", counting(real_entails))
-    monkeypatch.setattr(rec, "countermodel", counting(real_countermodel))
+    monkeypatch.setattr(rec, "_countermodel_any", counting(real_countermodel))
     out = rec.test_dia_pi_report(Var("a0"), phi)
     assert (out.verdict, out.step) == (True, 3)
     assert len(out.witness.x_set) == n
@@ -471,14 +581,25 @@ def test_dia_pi_streams_terms_once_and_entails_linearly(monkeypatch):
 
 def _count_cover_queries(monkeypatch):
     # the distinct cover masks the diamond subtest's searches ask, with
-    # their answers, and the cover queries that reach the core (recognize
-    # calls countermodel for nothing else)
+    # their answers, and the members of each cover query that reaches the
+    # core (the diamond subtest asks _countermodel_any for nothing else;
+    # normalization and step 4 ask it outside the subtest)
     asked, core = {}, []
-    real_countermodel, real_search = rec.countermodel, rec._first_refutation
+    real_countermodel, real_search = rec._countermodel_any, rec._first_refutation
+    real_subtest = rec.test_dia_pi_report
+    inside = []
 
-    def counting(f, g):
-        core.append(g)
-        return real_countermodel(f, g)
+    def counting(f, parts):
+        if inside:
+            core.append(parts)
+        return real_countermodel(f, parts)
+
+    def subtest(psi, phi):
+        inside.append(psi)
+        try:
+            return real_subtest(psi, phi)
+        finally:
+            inside.pop()
 
     def search(n, reaches, covers, size=None):
         def recording(mask):
@@ -486,7 +607,8 @@ def _count_cover_queries(monkeypatch):
             return asked[mask]
         return real_search(n, reaches, recording, size)
 
-    monkeypatch.setattr(rec, "countermodel", counting)
+    monkeypatch.setattr(rec, "_countermodel_any", counting)
+    monkeypatch.setattr(rec, "test_dia_pi_report", subtest)
     monkeypatch.setattr(rec, "_first_refutation", search)
     return asked, core
 
@@ -597,7 +719,6 @@ def test_cover_queries_the_bits_cannot_decide_reach_the_core(monkeypatch, psi, p
     assert kind in map(_members_shape, core), core
 
 
-def _members_shape(g):
-    members = _flatten(g, (Or,))
+def _members_shape(members):
     literals = sum(isinstance(x, (Var, Neg)) for x in members)
     return "literals" if literals == len(members) else "mixed" if literals else "other"
