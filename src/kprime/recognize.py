@@ -5,16 +5,22 @@ parts and checks each against a strengthened remainder of the input
 formula.  The diamond check looks for a subset of the modal bodies found
 at the top propositional level of the formula; a qualifying subset
 witnesses a strictly stronger implicate.  It streams the terms of the
-formula once into a reach table of bitmasks, decides by a pruned
-include/exclude search whether a qualifying subset exists, and recovers
-the canonical (smallest, then leftmost) subset only when one does.  Its
-cover queries on subsets of literals are decided by bitmasks over the
-surface branches of the diamond's body when that body is propositional.
+formula once into a reach table of bitmasks, decides whether a
+qualifying subset exists, and recovers the canonical (smallest, then
+leftmost) subset only when one does.  Its cover queries on subsets of
+literals are decided by bitmasks over the surface branches of the
+diamond's body when that body is propositional; when, moreover, every
+member of the universe is a literal, those branches give the maximal
+subsets that do not cover the body, and a qualifying subset exists iff
+one of them reaches every term.  Other inputs go to a pruned
+include/exclude search over the subsets.
 
 The box check decides every box disjunct in one walk of the surface
 branches of the formula: a branch either offers a satisfiable term to the
 remainder of each box, or to that of one box only, or to none, and its
 modal queries are those the implicate check of step 1 already memoized.
+The propositional and diamond checks that the main test runs do not
+check again that their clause is an implicate, as step 1 implies it.
 Recognition asks each "f entails p1 or ... or pn" as the tuple of
 conjuncts f, !p1, ..., !pn, and builds no disjunction for it.
 """
@@ -108,6 +114,11 @@ def test_prop_pi(l: ClauseView4, phi: Formula) -> bool:
     whole = l.assemble()
     if not entails(phi, whole):
         raise ValueError("not an implicate: %s" % whole)
+    return _prop_pi(l, phi)
+
+
+def _prop_pi(l: ClauseView4, phi: Formula) -> bool:
+    # step 4 of test_pi_report, whose step 1 checked that phi entails l
     for g in l.gammas:
         rest = [p for p in l.parts if p != g]
         if _countermodel_any(phi, rest) is None:
@@ -125,12 +136,17 @@ def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
 
     The terms are streamed once into a reach table, one bitmask over the
     universe per term, so reaching is bit arithmetic.  Not covering psi is
-    closed under subsets and reaching under supersets, so an include/exclude
-    search that drops every branch whose largest extension does not reach
-    decides whether a refuting S exists.  Only then is the canonical
-    witness recovered, the first refuting subset by size, then
-    lexicographically by position, by the same search bounded to each
-    size in turn.
+    closed under subsets and reaching under supersets, so a refuting S
+    exists iff some maximal non-covering S reaches.  When every member of
+    the universe is a literal and bits decide the cover queries (below),
+    the maximal non-covering sets are known: for each consistent surface
+    branch of nnf(psi), the positions off the branch with one side of each
+    complementary pair there dropped, and trying those decides whether a
+    refuting S exists.  Otherwise an include/exclude search that drops
+    every branch whose largest extension does not reach decides it.  Only
+    then is the canonical witness recovered, the first refuting subset by
+    size, then lexicographically by position, by the same search bounded
+    to each size in turn.
 
     A cover query asks whether psi entails the disjunction of S.  When S
     holds only literals, and psi has at most COVER_BRANCH_BOUND consistent
@@ -143,6 +159,15 @@ def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
     """
     if not entails(phi, Dia(psi)):
         raise ValueError("not an implicate: <>%s" % psi)
+    return _dia_pi(psi, phi)
+
+
+def _dia_pi(psi: Formula, phi: Formula) -> TestOutcome:
+    # step 6 of test_pi_report, whose phi is the formula and the negated
+    # rest of the normalized clause.  Step 1 showed that the formula
+    # entails the clause, so phi entails the clause's diamonds, that is
+    # <>psi.  phi may still be unsatisfiable, when the formula entails the
+    # rest
     if not sat(phi):
         return TestOutcome(not sat(psi), 1)
     uni = witness_universe(phi)
@@ -177,7 +202,11 @@ def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
         return all(need & mask for need in needs)
 
     n = len(xs)
-    if _first_refutation(n, reaches, covers) is None:
+    if bits is not None and bits.literals == (1 << n) - 1:
+        refuted = _maximal_non_cover_reaches(bits, reaches)
+    else:
+        refuted = _first_refutation(n, reaches, covers) is not None
+    if not refuted:
         return TestOutcome(True, 3, uni)
     for size in range(1, n + 1):
         mask = _first_refutation(n, reaches, covers, size)
@@ -248,6 +277,34 @@ def _literal_cover(psi: Formula, xs) -> _LiteralCover | None:
             return None
         branches.append(sum(at.get(p, 0) for p in branch))
     return _LiteralCover(sum(at.values()), pairs, tuple(branches))
+
+
+def _maximal_non_cover_reaches(bits: _LiteralCover, reaches) -> bool:
+    # Whether some subset of the literal positions reaches without covering
+    # psi.  Each such S misses a branch and holds no complementary pair, so
+    # it lies within a maximal non-covering set: the literal positions off
+    # that branch, with one side of each pair left there dropped.  Per
+    # branch, a depth-first walk drops one side of the first pair a mask
+    # still holds, and prunes a mask that does not reach, as no subset of
+    # it does; the sets left under a mask depend on the mask only, so a
+    # mask tried under another branch is not tried again.
+    tried = set()
+    for branch in bits.branches:
+        stack = [bits.literals & ~branch]
+        while stack:
+            mask = stack.pop()
+            if mask in tried:
+                continue
+            tried.add(mask)
+            if not reaches(mask):
+                continue
+            pair = next(((pos, neg) for pos, neg in bits.pairs
+                         if mask & pos and mask & neg), None)
+            if pair is None:
+                return True
+            pos, neg = pair
+            stack += (mask & ~neg, mask & ~pos)
+    return False
 
 
 def _first_refutation(n: int, reaches, covers, size: int | None = None) -> int | None:
@@ -351,7 +408,7 @@ def test_pi_report(l: Formula, phi: Formula) -> TestOutcome:
     if is_tautology(l):
         return TestOutcome(is_tautology(phi), 2)
     view = normalize_clause(view)
-    if not test_prop_pi(view, phi):
+    if not _prop_pi(view, phi):
         return TestOutcome(False, 4)
     if view.boxes and not _boxes_strongest(view, phi):
         return TestOutcome(False, 5)
@@ -359,7 +416,7 @@ def test_pi_report(l: Formula, phi: Formula) -> TestOutcome:
     if psis:
         rest = [p for p in view.parts if not isinstance(p, Dia)]
         phi_prime = And(phi, dual_negate(fold_or(rest))) if rest else phi
-        sub = test_dia_pi_report(fold_or(psis), phi_prime)
+        sub = _dia_pi(fold_or(psis), phi_prime)
         return TestOutcome(sub.verdict, 6, sub.witness)
     return TestOutcome(True, 5 if view.boxes else 4)
 

@@ -258,8 +258,10 @@ def test_box_step_walks_phi_once_on_thm18(monkeypatch):
     # them by one remainder and one dnf4 stream per box made 1 041 memo
     # hits on the same 307 core problems and asked for 1 129 nodes; the
     # one walk asks step 1's modal queries again as memo hits, and of the
-    # 171 nodes asked for it asks only the 48 of each branch's box
-    # conjunction, whose dual step 1 holds already
+    # 155 nodes asked for it asks only the 48 of each branch's box
+    # conjunction, whose dual step 1 holds already.  Step 4 does not check
+    # again that the clause is an implicate: that re-check was one more
+    # memo hit and re-assembled the clause, 16 more nodes
     decision._model_nnf.cache_clear()
     gc.collect()
     phi, (dist,) = generate(FamilySpec("thm18", n=4))
@@ -281,8 +283,8 @@ def test_box_step_walks_phi_once_on_thm18(monkeypatch):
     info = decision._model_nnf.cache_info()
     assert (out.verdict, out.step) == (True, 5)
     assert walks == [(nnf(phi),)] and streams == []
-    assert (info.misses, info.hits) == (307, 377)
-    assert len(built) == 171
+    assert (info.misses, info.hits) == (307, 376)
+    assert len(built) == 155
 
 
 def test_dia_pi_first_example():
@@ -504,13 +506,13 @@ def test_dia_pi_search_matches_exhaustive_enumeration(monkeypatch):
         (fold_or(bodies + [c]), fold_or([Dia(x) for x in bodies])),
     ]
     # the diamond subtests that the examples.sh recognition runs reach
-    real = rec.test_dia_pi_report
+    real = rec._dia_pi
 
     def recording(psi, phi):
         pairs.append((psi, phi))
         return real(psi, phi)
 
-    monkeypatch.setattr(rec, "test_dia_pi_report", recording)
+    monkeypatch.setattr(rec, "_dia_pi", recording)
     for clause, phi in EXAMPLES_TESTPI:
         rec.test_pi_report(parse(clause), parse(phi))
     monkeypatch.undo()
@@ -544,6 +546,81 @@ def test_dia_pi_search_matches_exhaustive_enumeration(monkeypatch):
     assert refuting >= 10
     assert len(pairs) - refuting >= 10
     assert wide >= 5
+
+
+def _literal_mix(rng, leaves, mixed):
+    # an and/or tree over modal literals on literals and over literals, so
+    # that the witness universe holds literals, complementary pairs among
+    # them; with mixed, some modal bodies are propositional formulas
+    if leaves == 1:
+        kind = rng.choice(["dia", "dia", "dia", "box", "lit"])
+        lit = Var(rng.choice("abcd"))
+        if rng.random() < 0.5:
+            lit = Neg(lit)
+        if kind == "lit":
+            return lit
+        if mixed and rng.random() < 0.3:
+            lit = random_formula(rng, "abcd", 0, rng.randint(2, 4))
+        return (Dia if kind == "dia" else Box)(lit)
+    k = rng.randint(1, leaves - 1)
+    op = And if rng.random() < 0.6 else Or
+    return op(_literal_mix(rng, k, mixed), _literal_mix(rng, leaves - k, mixed))
+
+
+def test_maximal_non_covers_match_search_and_exhaustive_enumeration(monkeypatch):
+    # every decision by the maximal non-covering sets against the
+    # include/exclude search on the same reach table and cover bits, and
+    # every outcome, decided that way or not, against the exhaustive
+    # enumeration
+    seen = dict.fromkeys(("yes", "no", "pair", "modal psi", "mixed S", "over bound"), 0)
+    real = rec._maximal_non_cover_reaches
+
+    def checked(bits, reaches):
+        got = real(bits, reaches)
+        n = bits.literals.bit_length()
+        assert got == (rec._first_refutation(n, reaches, bits.covers) is not None)
+        seen["no" if got else "yes"] += 1
+        # a complementary pair off some branch, which the walk must split
+        seen["pair"] += any(not (pos | neg) & branch
+                            for branch in bits.branches for pos, neg in bits.pairs)
+        return got
+
+    monkeypatch.setattr(rec, "_maximal_non_cover_reaches", checked)
+
+    def check(psi, phi):
+        xs = witness_universe(phi).x_set
+        bits = rec._literal_cover(psi, xs)
+        if bits is None:
+            seen["over bound" if len(list(surface_branches(nnf(psi)))) > rec.COVER_BRANCH_BOUND
+                 else "modal psi"] += 1
+        elif bits.literals != (1 << len(xs)) - 1:
+            seen["mixed S"] += 1
+        assert rec.test_dia_pi_report(psi, phi) == _dia_pi_exhaustive(psi, phi), (psi, phi)
+
+    wide = fold_or([Var("v%d" % i) for i in range(rec.COVER_BRANCH_BOUND + 1)])
+    # more branches than the bound, over a universe of literals
+    check(wide, Dia(Var("v0")))
+    check(wide, fold_and([Dia(Var("v0")), Dia(Neg(Var("v1"))), Box(Var("v2"))]))
+    check(Or(a, Dia(b)), fold_and([Dia(a), Dia(c), Dia(Or(a, Dia(b)))]))
+    check(Or(a, And(b, c)), Or(Dia(a), Dia(And(b, c))))
+    rng = random.Random(82)
+    while seen["yes"] + seen["no"] < 2000:
+        phi = _literal_mix(rng, rng.randint(2, 7), rng.random() < 0.2)
+        xs = witness_universe(phi).x_set
+        if not xs or not sat(phi):
+            continue
+        psi = fold_or(rng.sample(xs, rng.randint(1, len(xs))))
+        r = rng.random()
+        if r < 0.4:
+            psi = Or(psi, random_formula(rng, "abcd", 0, rng.randint(1, 5)))
+        elif r < 0.7:
+            psi = random_formula(rng, "abcd", 0, rng.randint(1, 5))
+        elif r < 0.75:
+            psi = Or(psi, Dia(random_formula(rng, "abcd", 0, rng.randint(1, 3))))
+        if entails(phi, Dia(psi)):
+            check(psi, phi)
+    assert seen["yes"] >= 200 and seen["no"] >= 200 and seen["pair"] >= 100, seen
+    assert seen["modal psi"] >= 50 and seen["mixed S"] >= 50 and seen["over bound"] == 2, seen
 
 
 def test_dia_pi_streams_terms_once_and_entails_linearly(monkeypatch):
@@ -586,7 +663,7 @@ def _count_cover_queries(monkeypatch):
     # normalization and step 4 ask it outside the subtest)
     asked, core = {}, []
     real_countermodel, real_search = rec._countermodel_any, rec._first_refutation
-    real_subtest = rec.test_dia_pi_report
+    real_subtest = rec._dia_pi
     inside = []
 
     def counting(f, parts):
@@ -608,22 +685,53 @@ def _count_cover_queries(monkeypatch):
         return real_search(n, reaches, recording, size)
 
     monkeypatch.setattr(rec, "_countermodel_any", counting)
-    monkeypatch.setattr(rec, "test_dia_pi_report", subtest)
+    monkeypatch.setattr(rec, "_dia_pi", subtest)
     monkeypatch.setattr(rec, "_first_refutation", search)
     return asked, core
 
 
+def _count_reach_checks(monkeypatch):
+    # the masks whose reach the diamond subtest checks while it tries the
+    # maximal non-covering sets
+    reached = []
+    real = rec._maximal_non_cover_reaches
+
+    def trying(bits, reaches):
+        def recording(mask):
+            reached.append(mask)
+            return reaches(mask)
+        return real(bits, recording)
+
+    monkeypatch.setattr(rec, "_maximal_non_cover_reaches", trying)
+    return reached
+
+
 def test_cover_pool_bounds_core_calls(monkeypatch):
-    # thm21 n=2, distinguished clause 9: the diamond subtest asks 116
-    # distinct cover queries psi |= \/S, with a modal-free psi and only
-    # literals in S, so the branch bits decide every one and none reaches
-    # the core.
+    # thm21 n=2, distinguished clause 9: a modal-free psi with 4 consistent
+    # branches over a universe of 8 literals with no complementary pair.
+    # The 4 maximal non-covering sets, one per branch, reach no term, so
+    # the subtest answers yes after 4 reach checks and asks no cover
+    # query.  The include/exclude search it replaces asked 116 distinct
+    # cover queries, all decided by the branch bits.
     phi, dist = generate(FamilySpec("thm21", n=2))
     asked, core = _count_cover_queries(monkeypatch)
+    reached = _count_reach_checks(monkeypatch)
     out = rec.test_pi_report(dist[9], phi)
     assert (out.verdict, out.step) == (True, 6)
-    assert len(asked) == 116
+    assert len(asked) == 0
     assert len(core) == 0
+    assert len(reached) == 4
+
+
+def test_thm21_n3_clause_asks_one_reach_check_per_branch(monkeypatch):
+    # thm21 n=3: psi has 8 consistent branches over a universe of 12
+    # literals with no complementary pair, so 8 reach checks decide it
+    phi, dist = generate(FamilySpec("thm21", n=3))
+    asked, core = _count_cover_queries(monkeypatch)
+    reached = _count_reach_checks(monkeypatch)
+    out = rec.test_pi_report(dist[100], phi)
+    assert (out.verdict, out.step) == (True, 6)
+    assert (len(asked), len(core), len(reached)) == (0, 0, 8)
 
 
 def test_thm21_distinguished_clauses_ask_the_core_no_cover_query(monkeypatch):
