@@ -33,7 +33,7 @@ from types import SimpleNamespace
 from .decision import entails, sat
 from .dnf import cnf4, dnf4
 from .formulas import _SUGAR, And, Formula, Or, Var, fold_or, nnf, subformulas, unparse
-from .generate import gen_implicants, gen_pi, iter_pi
+from .generate import gen_implicants, iter_pi
 from .grammar import DefId, SyntacticKind, _dedup, is_member
 from .parser import parse
 from .recognize import test_implicant_report, test_pi_report
@@ -145,7 +145,7 @@ def _cmd_cnf4(args) -> int:
 
 
 def _cmd_genpi(args) -> int:
-    return _emit_lines(args, (iter_pi if args.iter else gen_pi)(_one_formula(args)))
+    return _emit_lines(args, iter_pi(_one_formula(args)))
 
 
 def _cmd_implicants(args) -> int:
@@ -243,7 +243,8 @@ COMMANDS = {
     "cnf4": (_cmd_cnf4, "print the conjunctive clauses, one per line", PRINTS),
     "genpi": (_cmd_genpi, "print the prime implicates, one per line", INPUTS + (
         _arg("--iter", action="store_true",
-             help="print each implicate as soon as it is found"), SIMPLIFY)),
+             help="ignored: implicates always print as found"),
+        SIMPLIFY)),
     "implicants": (_cmd_implicants, "print the prime implicants, one per line", PRINTS),
     "testpi": (_cmd_testpi, "decide whether a clause is a prime implicate",
                (_arg("--clause", required=True, metavar="EXPR"), FORMULA, TRACE)),

@@ -2,32 +2,35 @@
 
 The main test splits a clause into its propositional, box, and diamond
 parts and checks each against a strengthened remainder of the input
-formula.  The diamond check looks for a subset of the modal bodies found
-at the top propositional level of the formula; a qualifying subset
-witnesses a strictly stronger implicate.  It streams the terms of the
-formula once into a reach table of bitmasks, decides whether a
-qualifying subset exists, and recovers the canonical (smallest, then
-leftmost) subset only when one does.  Its cover queries on subsets of
-literals are decided by bitmasks over the surface branches of the
-diamond's body when that body is propositional; when, moreover, every
-member of the universe is a literal, those branches give the maximal
-subsets that do not cover the body, and a qualifying subset exists iff
-one of them reaches every term.  Other inputs go to a pruned
-include/exclude search over the subsets.
+formula, phi & !(rest of the clause).  Steps 5 and 6 build no remainder
+formula: each walks its surface branches once, keeping those that pass
+the sat core's modal step, and asks the core memo keys of conjuncts.
 
-The box check decides every box disjunct in one walk of the surface
-branches of the formula: a branch either offers a satisfiable term to the
-remainder of each box, or to that of one box only, or to none, and its
-modal queries are those the implicate check of step 1 already memoized.
-The propositional and diamond checks that the main test runs do not
-check again that their clause is an implicate, as step 1 implies it.
-Recognition asks each "f entails p1 or ... or pn" as the tuple of
-conjuncts f, !p1, ..., !pn, and builds no disjunction for it.
+The diamond check looks for a subset of the modal bodies found at the top
+propositional level of the remainder; a qualifying subset witnesses a
+strictly stronger implicate.  It walks the branches once into a reach
+table of bitmasks, decides whether a qualifying subset exists, and
+recovers the canonical (smallest, then leftmost) subset only when one
+does.  Its cover queries on subsets of literals are decided by bitmasks
+over the surface branches of the diamond's body when that body is
+propositional; when, moreover, every member of the universe is a
+literal, those branches give the maximal subsets that do not cover the
+body, and a qualifying subset exists iff one of them reaches every
+branch.  Other inputs go to a pruned include/exclude search.
+
+The box check decides every box disjunct in one walk: a branch either
+offers a satisfiable term to the remainder of each box, or to that of one
+box only, or to none, and its modal queries are those the implicate check
+of step 1 already memoized.  The propositional and diamond checks that
+the main test runs do not check again that their clause is an implicate,
+as step 1 implies it.  Recognition asks each "f entails p1 or ... or pn"
+as the tuple of conjuncts f, !p1, ..., !pn, and builds no disjunction.
 """
 
 from collections import namedtuple
 
 from .decision import (
+    _children,
     _countermodel_any,
     _model_nnf,
     _spine,
@@ -37,7 +40,6 @@ from .decision import (
     surface_branches,
     true_at_root,
 )
-from .dnf import dnf4
 from .formulas import (
     And,
     Box,
@@ -72,11 +74,21 @@ class TestOutcome(namedtuple("TestOutcome", "verdict step witness", defaults=(No
     __slots__ = ()
 
 
-def witness_universe(f: Formula) -> WitnessUniverse:
-    """Bodies of modal literals outside any modal scope in nnf(f)."""
-    surface = _flatten(nnf(f), (And, Or))
+def witness_universe(f: Formula, *more: Formula) -> WitnessUniverse:
+    """Bodies of modal literals outside any modal scope in nnf(f), then in
+    each NNF formula of more, first occurrences in order."""
     return WitnessUniverse(tuple(dict.fromkeys(
-        g.child for g in surface if isinstance(g, (Box, Dia)))))
+        g.child for root in (nnf(f), *more) for g in _flatten(root, (And, Or))
+        if isinstance(g, (Box, Dia)))))
+
+
+def _remainder(phi: Formula, parts):
+    # the surface branches of phi & !(p1 | ... | pn) for parts (p1, ...,
+    # pn) that pass the modal step, as the sat core walks them; they make
+    # a DNF of the remainder, empty iff it is unsatisfiable
+    for branch in surface_branches(nnf(phi), *map(dual_negate, parts), skip_satisfied=True):
+        if _children(branch) is not None:
+            yield branch
 
 
 def normalize_clause(l: ClauseView4) -> ClauseView4:
@@ -134,8 +146,10 @@ def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
     offers a diamond conjunct eta with ({eta} union boxes) meeting S whose
     strengthening dia(eta and beta) entails dia(psi).
 
-    The terms are streamed once into a reach table, one bitmask over the
-    universe per term, so reaching is bit arithmetic.  Not covering psi is
+    The surface branches of nnf(phi) that pass the modal step are walked
+    once into a reach table, one bitmask over the universe per branch, so
+    reaching is bit arithmetic; a term reaches whatever the branch it
+    extends reaches (see _dia_pi).  Not covering psi is
     closed under subsets and reaching under supersets, so a refuting S
     exists iff some maximal non-covering S reaches.  When every member of
     the universe is a literal and bits decide the cover queries (below),
@@ -162,19 +176,37 @@ def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
     return _dia_pi(psi, phi)
 
 
-def _dia_pi(psi: Formula, phi: Formula) -> TestOutcome:
-    # step 6 of test_pi_report, whose phi is the formula and the negated
-    # rest of the normalized clause.  Step 1 showed that the formula
-    # entails the clause, so phi entails the clause's diamonds, that is
-    # <>psi.  phi may still be unsatisfiable, when the formula entails the
-    # rest
-    if not sat(phi):
-        return TestOutcome(not sat(psi), 1)
-    uni = witness_universe(phi)
+def _dia_pi(psi: Formula, phi: Formula, rest=()) -> TestOutcome:
+    # step 6 of test_pi_report, against the remainder phi & !(rest), rest
+    # the non-diamond parts of the normalized clause: step 1 showed that
+    # phi entails the clause, so the remainder entails <>psi.  It has no
+    # branch iff it is unsatisfiable, which it is when phi entails rest.
+    #
+    # The reach table holds one mask per branch: the universe positions
+    # whose presence in S lets the branch reach S, namely its box bodies
+    # and its good diamond bodies eta, those with eta & beta entailing psi,
+    # beta the branch's box bodies; in K that decides <>(eta & beta)
+    # entailing <>psi.  A branch with no good diamond body reaches no S.
+    # The walk skips an Or with a side already on the branch, which is
+    # choosing that side, so each branch is a term of dnf4 of the
+    # remainder, and every other term holds the literals of one.  More
+    # literals mean more diamonds and a stronger beta, which keeps every
+    # good body good, so such a term's mask holds its branch's: the table
+    # decides reaching as the terms do.
+    uni = witness_universe(phi, *map(dual_negate, rest))
     xs = uni.x_set
-    needs = _reach_table(phi, psi, xs)
-    if needs is None:
-        return TestOutcome(True, 3, uni)
+    index = {x: k for k, x in enumerate(xs)}
+    not_psi = dual_negate(psi)
+    needs = []
+    for branch in _remainder(phi, rest):
+        boxes = [p.child for p in branch if type(p) is Box]
+        good = sum(1 << index[p.child] for p in branch if type(p) is Dia
+                   and _model_nnf(_spine([p.child, *boxes, not_psi])) is None)
+        if not good:
+            return TestOutcome(True, 3, uni)
+        needs.append(good | sum(1 << index[mu] for mu in boxes))
+    if not needs:
+        return TestOutcome(not sat(psi), 1)
     bits = _literal_cover(psi, xs)
     covered: dict[int, bool] = {}
     # one mask per countermodel of psi found so far: the members false at
@@ -213,33 +245,6 @@ def _dia_pi(psi: Formula, phi: Formula) -> TestOutcome:
         if mask is not None:
             return TestOutcome(False, 3, WitnessUniverse(xs, members(mask)))
     raise AssertionError("a refuting subset exists but none was found")
-
-
-def _reach_table(phi: Formula, psi: Formula, xs) -> list[int] | None:
-    # One mask per term of dnf4(phi): the universe positions whose presence
-    # in S lets the term reach S, namely its box bodies and its good
-    # diamond bodies eta, those with (eta and beta) entailing psi; in K that
-    # decides dia(eta and beta) entailing dia(psi).  Every modal body of a
-    # term is in the universe.  None when some term has no good diamond
-    # body and so never reaches.
-    index = {x: k for k, x in enumerate(xs)}
-    good: dict[Formula, bool] = {}
-    needs = []
-    for t in dnf4(phi):
-        beta = t.beta()
-        mask = 0
-        for eta in t.diamonds:
-            body = eta if beta is None else And(eta, beta)
-            if body not in good:
-                good[body] = entails(body, psi)
-            if good[body]:
-                mask |= 1 << index[eta]
-        if not mask:
-            return None
-        for mu in t.boxes:
-            mask |= 1 << index[mu]
-        needs.append(mask)
-    return needs
 
 
 class _LiteralCover(namedtuple("_LiteralCover", "literals pairs branches")):
@@ -336,19 +341,19 @@ def _first_refutation(n: int, reaches, covers, size: int | None = None) -> int |
 def _boxes_strongest(view: ClauseView4, phi: Formula) -> bool:
     """Step 5: whether every box disjunct []chi_i of the clause l, an
     implicate of phi and no tautology, is strongest over
-    phi_i = phi & !(l minus []chi_i), in one walk of the surface branches B
-    of nnf(phi).
+    phi_i = phi & !(l minus []chi_i), in one walk of the remainder
+    phi & !(l minus its boxes).
 
-    The terms of phi_i extend a B by the literals !gamma, []!psi and
-    <>!chi_j for j != i of the negated rest of l.  Such a term is
-    satisfiable iff B holds no gamma, every diamond of B passes the modal
-    step against its boxes (those of B and the []!psi), and so does every
-    <>!chi_j with j != i; so at most one <>!chi_j may fail, and then only
-    box j uses B.  Box i passes on a satisfiable term with no box, or whose
-    box conjunction beta is entailed by chi_i & !psi...  The walk skips an
-    Or with a side already on the branch: the branch kept is a term of its
-    own and holds fewer literals than the ones it stands for, and dropping
-    literals keeps both satisfiability and the entailment of beta.
+    The terms of phi_i extend a branch B of that remainder, a branch of
+    nnf(phi) with the !gamma and []!psi, by the <>!chi_j for j != i.  B
+    passes the modal step, so such a term is satisfiable iff every
+    <>!chi_j with j != i passes it against B's boxes; so at most one
+    <>!chi_j may fail, and then only box j uses B.  Box i passes
+    on a satisfiable term with no box, or whose box conjunction beta is
+    entailed by chi_i & !psi...  The walk skips an Or with a side already
+    on the branch: the branch kept is a term of its own and holds fewer
+    literals than the ones it stands for, and dropping literals keeps both
+    satisfiability and the entailment of beta.
 
     The modal queries are mostly memo keys that step 1's entails(phi, l)
     filled.  On a normalized l the <>!chi_j condition never rejects a box
@@ -359,15 +364,9 @@ def _boxes_strongest(view: ClauseView4, phi: Formula) -> bool:
     not_psis = [dual_negate(p) for p in view.diamonds]
     bodies = [fold_and([chi] + not_psis) for chi in view.boxes]
     not_chis = [dual_negate(chi) for chi in view.boxes]
-    gammas = set(view.gammas)
     pending = set(range(len(bodies)))  # the boxes not passed yet
-    for branch in surface_branches(nnf(phi), skip_satisfied=True):
-        if not gammas.isdisjoint(branch):
-            continue
-        boxes = list(dict.fromkeys([p.child for p in branch if type(p) is Box] + not_psis))
-        if any(_model_nnf(_spine([p.child, *boxes])) is None
-               for p in branch if type(p) is Dia):
-            continue
+    for branch in _remainder(phi, [p for p in view.parts if type(p) is not Box]):
+        boxes = [p.child for p in branch if type(p) is Box]
         failed = (j for j, q in enumerate(not_chis)
                   if _model_nnf(_spine([q, *boxes])) is None)
         j = next(failed, None)
@@ -395,10 +394,11 @@ def test_pi_report(l: Formula, phi: Formula) -> TestOutcome:
 
     Steps: 1 implicate check, 2 limit cases, 3 normalization, 4
     propositional literals, 5 box disjuncts against the remainder, 6 the
-    diamond disjuncts merged into one body.  Step 5 decides every box
-    disjunct in one walk of the surface branches of nnf(phi), asking the
-    core the modal queries that step 1 already memoized (see
-    _boxes_strongest); it streams no dnf4 and builds no remainder formula.
+    diamond disjuncts merged into one body.  Steps 5 and 6 each walk the
+    branches of phi & !(the clause's non-box, resp. non-diamond, parts)
+    once; step 5 asks the core the modal queries that step 1 memoized
+    (see _boxes_strongest), and step 6 reads an empty walk as an
+    unsatisfiable remainder.  Neither builds a remainder formula.
     """
     view = view4(l, SyntacticKind.CLAUSE)
     if not entails(phi, l):
@@ -412,11 +412,9 @@ def test_pi_report(l: Formula, phi: Formula) -> TestOutcome:
         return TestOutcome(False, 4)
     if view.boxes and not _boxes_strongest(view, phi):
         return TestOutcome(False, 5)
-    psis = list(view.diamonds)
-    if psis:
-        rest = [p for p in view.parts if not isinstance(p, Dia)]
-        phi_prime = And(phi, dual_negate(fold_or(rest))) if rest else phi
-        sub = _dia_pi(fold_or(psis), phi_prime)
+    if view.diamonds:
+        rest = [p for p in view.parts if type(p) is not Dia]
+        sub = _dia_pi(fold_or(view.diamonds), phi, rest)
         return TestOutcome(sub.verdict, 6, sub.witness)
     return TestOutcome(True, 5 if view.boxes else 4)
 

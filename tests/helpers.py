@@ -5,13 +5,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, product
 
 from kprime.cli import main as cli_main
-from kprime.decision import entails, is_tautology
+from kprime.decision import _countermodel_any, entails, is_tautology, sat, true_at_root
 from kprime.families import QbfInstance, XcInstance
 from kprime.formulas import (_SUGAR, And, Box, Dia, Metrics, Neg, Or, Var, bottom,
                              dual_negate, fold_and, fold_or, nnf)
 from kprime.grammar import ClauseView4, _dedup, _derives, _flatten
 from kprime.dnf import dnf4
-from kprime.recognize import test_dia_pi_report
+from kprime.recognize import (TestOutcome, WitnessUniverse, _first_refutation, _literal_cover,
+                              _maximal_non_cover_reaches, test_dia_pi_report, witness_universe)
 from kprime.semantics import KripkeModel
 
 
@@ -263,6 +264,85 @@ def box_pi_reference(body, phi_prime) -> bool:
         if beta is None or entails(body, beta):
             return True
     return False
+
+
+# Step 6 of recognition as first written, the reference that
+# tests/test_pirec.py checks recognize._dia_pi against: it builds the
+# remainder phi' = phi & !(rest), checks sat(phi'), and streams dnf4(phi')
+# into the reach table, asking one entailment per distinct good-body query.
+
+
+def dia_step_reference(psi, phi, rest=()) -> TestOutcome:
+    """The diamond subtest of <>psi against phi & !(p1 | ... | pn) for rest
+    (p1, ..., pn), which the remainder must entail."""
+    phi = And(phi, dual_negate(fold_or(rest))) if rest else phi
+    if not sat(phi):
+        return TestOutcome(not sat(psi), 1)
+    uni = witness_universe(phi)
+    xs = uni.x_set
+    needs = _reach_table_reference(phi, psi, xs)
+    if needs is None:
+        return TestOutcome(True, 3, uni)
+    bits = _literal_cover(psi, xs)
+    covered: dict[int, bool] = {}
+    falsified: list[int] = []
+
+    def members(mask: int) -> tuple:
+        return tuple(x for k, x in enumerate(xs) if mask >> k & 1)
+
+    def covers(mask: int) -> bool:
+        if bits is not None and not mask & ~bits.literals:
+            return bits.covers(mask)
+        if mask not in covered:
+            if any(not mask & ~fm for fm in falsified):
+                covered[mask] = False
+            else:
+                model = _countermodel_any(psi, members(mask))
+                covered[mask] = model is None
+                if model is not None:
+                    falsified.append(sum(1 << k for k, x in enumerate(xs)
+                                         if not true_at_root(model, x)))
+        return covered[mask]
+
+    def reaches(mask: int) -> bool:
+        return all(need & mask for need in needs)
+
+    n = len(xs)
+    if bits is not None and bits.literals == (1 << n) - 1:
+        refuted = _maximal_non_cover_reaches(bits, reaches)
+    else:
+        refuted = _first_refutation(n, reaches, covers) is not None
+    if not refuted:
+        return TestOutcome(True, 3, uni)
+    for size in range(1, n + 1):
+        mask = _first_refutation(n, reaches, covers, size)
+        if mask is not None:
+            return TestOutcome(False, 3, WitnessUniverse(xs, members(mask)))
+    raise AssertionError("a refuting subset exists but none was found")
+
+
+def _reach_table_reference(phi, psi, xs):
+    # one mask per term of dnf4(phi): its box bodies and its good diamond
+    # bodies eta, those with (eta and beta) entailing psi; None when some
+    # term has no good diamond body
+    index = {x: k for k, x in enumerate(xs)}
+    good = {}
+    needs = []
+    for t in dnf4(phi):
+        beta = t.beta()
+        mask = 0
+        for eta in t.diamonds:
+            body = eta if beta is None else And(eta, beta)
+            if body not in good:
+                good[body] = entails(body, psi)
+            if good[body]:
+                mask |= 1 << index[eta]
+        if not mask:
+            return None
+        for mu in t.boxes:
+            mask |= 1 << index[mu]
+        needs.append(mask)
+    return needs
 
 
 # Recursive tree walks, the references that tests/test_walks.py checks the

@@ -256,6 +256,7 @@ def test_iter_matches_eager():
 
 
 def test_iter_prints_each_implicate_when_found(monkeypatch):
+    # genpi streams with or without --iter, which it accepts and ignores
     real = cli.iter_pi
     printed = []
 
@@ -265,10 +266,12 @@ def test_iter_prints_each_implicate_when_found(monkeypatch):
             printed.append(sys.stdout.getvalue())
 
     monkeypatch.setattr(cli, "iter_pi", recording)
-    code, out, _ = run_cli("genpi", "--iter", "-e", EX15)
-    lines = out.splitlines(keepends=True)
-    assert code == 0 and len(lines) == 4
-    assert printed == ["".join(lines[:k + 1]) for k in range(len(lines))]
+    for flags in (["--iter"], []):
+        printed.clear()
+        code, out, _ = run_cli("genpi", *flags, "-e", EX15)
+        lines = out.splitlines(keepends=True)
+        assert code == 0 and len(lines) == 4
+        assert printed == ["".join(lines[:k + 1]) for k in range(len(lines))]
 
 
 def test_json_round_trip():

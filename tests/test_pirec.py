@@ -11,12 +11,12 @@ from kprime.dnf import delta_set, dnf4
 from kprime.families import FamilySpec, generate
 from kprime.formulas import _SUGAR, RESERVED, dual_negate, fold_and, fold_or, nnf, subformulas
 from kprime.generate import gen_pi
-from kprime.grammar import GrammarError, SyntacticKind, view4
+from kprime.grammar import GrammarError, SyntacticKind, _flatten, view4
 from kprime import recognize as rec
 from kprime.recognize import normalize_clause, witness_universe
 
 from helpers import (box_pi_verdict, box_step_reference, count_nodes, dia_pi_verdict,
-                     random_formula, random_surface_clause)
+                     dia_step_reference, random_formula, random_prop_lit, random_surface_clause)
 
 a, b, c, d, e, f = (Var(n) for n in "abcdef")
 
@@ -265,24 +265,20 @@ def test_box_step_walks_phi_once_on_thm18(monkeypatch):
     decision._model_nnf.cache_clear()
     gc.collect()
     phi, (dist,) = generate(FamilySpec("thm18", n=4))
-    walks, streams = [], []
-    real_walk, real_dnf4 = rec.surface_branches, rec.dnf4
+    walks = []
+    real_walk = rec.surface_branches
 
     def walking(*roots, **kwargs):
         walks.append(roots)
         return real_walk(*roots, **kwargs)
 
-    def streaming(f):
-        streams.append(f)
-        return real_dnf4(f)
-
     monkeypatch.setattr(rec, "surface_branches", walking)
-    monkeypatch.setattr(rec, "dnf4", streaming)
     built = count_nodes(monkeypatch)
     out = rec.test_pi_report(dist, phi)
     info = decision._model_nnf.cache_info()
     assert (out.verdict, out.step) == (True, 5)
-    assert walks == [(nnf(phi),)] and streams == []
+    # recognition streams no dnf4 at all
+    assert walks == [(nnf(phi),)] and not hasattr(rec, "dnf4")
     assert (info.misses, info.hits) == (307, 376)
     assert len(built) == 155
 
@@ -508,9 +504,9 @@ def test_dia_pi_search_matches_exhaustive_enumeration(monkeypatch):
     # the diamond subtests that the examples.sh recognition runs reach
     real = rec._dia_pi
 
-    def recording(psi, phi):
-        pairs.append((psi, phi))
-        return real(psi, phi)
+    def recording(psi, phi, rest=()):
+        pairs.append((psi, And(phi, dual_negate(fold_or(rest))) if rest else phi))
+        return real(psi, phi, rest)
 
     monkeypatch.setattr(rec, "_dia_pi", recording)
     for clause, phi in EXAMPLES_TESTPI:
@@ -623,37 +619,92 @@ def test_maximal_non_covers_match_search_and_exhaustive_enumeration(monkeypatch)
     assert seen["modal psi"] >= 50 and seen["mixed S"] >= 50 and seen["over bound"] == 2, seen
 
 
+def _dia_step_triples(rng):
+    # (psi, phi, rest) with phi & !(rest) entailing <>psi: phi an and/or
+    # tree over modal and propositional literals, at times conjoined with
+    # an Or that repeats one of its surface literals, so the remainder walk
+    # skips that Or; rest gammas and boxes, at times surface literals of
+    # phi, which phi may entail, so the remainder is unsatisfiable
+    while True:
+        phi = _modal_mix(rng, rng.randint(2, 6))
+        surface = [g for g in _flatten(nnf(phi), (And, Or)) if type(g) is not Dia]
+        if surface and rng.random() < 0.4:
+            pair = [rng.choice(surface), _modal_mix(rng, 1)]
+            rng.shuffle(pair)
+            phi = And(phi, Or(*pair))
+        rest = []
+        for _ in range(rng.randint(0, 3)):
+            if surface and rng.random() < 0.15:
+                rest.append(rng.choice(surface))
+            elif rng.random() < 0.5:
+                rest.append(random_prop_lit(rng, "abc"))
+            else:
+                rest.append(Box(random_formula(rng, "abc", rng.randint(0, 1), rng.randint(1, 3))))
+        rest = list(dict.fromkeys(rest))
+        remainder = And(phi, dual_negate(fold_or(rest))) if rest else phi
+        xs = witness_universe(remainder).x_set
+        if not xs:
+            continue
+        psi = fold_or(rng.sample(xs, rng.randint(1, min(2, len(xs)))))
+        r = rng.random()
+        if r < 0.3:
+            psi = Or(psi, random_formula(rng, "abc", 1, rng.randint(1, 4)))
+        elif r < 0.4:
+            psi = random_formula(rng, "abc", 1, rng.randint(1, 4))
+        if entails(remainder, Dia(psi)):
+            yield psi, phi, rest
+
+
+def test_dia_step_matches_reference():
+    # step 6 on one walk of the remainder's branches against the step as
+    # first written: sat of the remainder formula, then its dnf4 stream
+    rng = random.Random(93)
+    seen = dict.fromkeys(("yes", "no", "unsat", "skipped or"), 0)
+    for checked, (psi, phi, rest) in enumerate(_dia_step_triples(rng)):
+        if checked == 2000:
+            break
+        want = dia_step_reference(psi, phi, rest)
+        assert rec._dia_pi(psi, phi, rest) == want, (psi, phi, rest)
+        seen["yes" if want.verdict else "no"] += 1
+        seen["unsat"] += want.step == 1
+        roots = (nnf(phi), *map(dual_negate, rest))
+        seen["skipped or"] += (list(surface_branches(*roots))
+                               != list(surface_branches(*roots, skip_satisfied=True)))
+    assert seen["yes"] >= 200 and seen["no"] >= 200, seen
+    assert seen["unsat"] >= 50 and seen["skipped or"] >= 50, seen
+
+
 def test_dia_pi_streams_terms_once_and_entails_linearly(monkeypatch):
     # <>a0 against <>a0 & ... & <>a(n-1) is prime; deciding it must not
-    # visit the 2^n subsets of the witness universe
+    # visit the 2^n subsets of the witness universe.  The subtest walks
+    # the remainder's branches once and asks the core one query per
+    # diamond body, beside the public entry's implicate check
     n = 20
     phi = fold_and([Dia(Var("a%d" % i)) for i in range(n)])
-    streams = []
-    entailments = []
-    real_dnf4 = rec.dnf4
-    real_entails = rec.entails
-    real_countermodel = rec._countermodel_any
+    walks = []
+    queries = []
+    real_remainder = rec._remainder
 
-    def counting_dnf4(f):
-        streams.append(f)
-        assert len(streams) == 1, "dnf4 streamed more than once"
-        return real_dnf4(f)
+    def walking(phi, parts):
+        walks.append((phi, parts))
+        assert len(walks) == 1, "the remainder walked more than once"
+        return real_remainder(phi, parts)
 
     def counting(real):
-        # an entailment check, whether or not it asks for a countermodel
-        def check(f, g):
-            entailments.append((f, g))
-            assert len(entailments) <= 2 * n, "entailment checked more than 2n times"
-            return real(f, g)
-        return check
+        # a core query, whether or not it asks for a countermodel
+        def query(*args):
+            queries.append(args)
+            assert len(queries) <= 2 * n, "the core asked more than 2n times"
+            return real(*args)
+        return query
 
-    monkeypatch.setattr(rec, "dnf4", counting_dnf4)
-    monkeypatch.setattr(rec, "entails", counting(real_entails))
-    monkeypatch.setattr(rec, "_countermodel_any", counting(real_countermodel))
+    monkeypatch.setattr(rec, "_remainder", walking)
+    for name in ("entails", "_countermodel_any", "_model_nnf"):
+        monkeypatch.setattr(rec, name, counting(getattr(rec, name)))
     out = rec.test_dia_pi_report(Var("a0"), phi)
     assert (out.verdict, out.step) == (True, 3)
     assert len(out.witness.x_set) == n
-    assert len(streams) == 1
+    assert len(walks) == 1
 
 
 def _count_cover_queries(monkeypatch):
@@ -671,10 +722,10 @@ def _count_cover_queries(monkeypatch):
             core.append(parts)
         return real_countermodel(f, parts)
 
-    def subtest(psi, phi):
+    def subtest(psi, phi, rest=()):
         inside.append(psi)
         try:
-            return real_subtest(psi, phi)
+            return real_subtest(psi, phi, rest)
         finally:
             inside.pop()
 
@@ -742,6 +793,31 @@ def test_thm21_distinguished_clauses_ask_the_core_no_cover_query(monkeypatch):
         out = rec.test_pi_report(lam, phi)
         assert (out.verdict, out.step) == (True, 6)
     assert len(core) == 0
+
+
+def test_thm21_n2_clauses_build_no_remainder(monkeypatch):
+    # thm21 n=2's 16 distinguished clauses, all prime at step 6.  With the
+    # remainder built as a formula, checked by sat and streamed by dnf4,
+    # and each good-body query built as an And and asked through entails,
+    # they asked for 480 nodes, made 144 entails calls here and 393 core
+    # misses; walking the remainder's branches asks only step 1's entails
+    decision._model_nnf.cache_clear()
+    gc.collect()
+    phi, dist = generate(FamilySpec("thm21", n=2))
+    entailments = []
+    real_entails = rec.entails
+
+    def counting(f, g):
+        entailments.append((f, g))
+        return real_entails(f, g)
+
+    monkeypatch.setattr(rec, "entails", counting)
+    built = count_nodes(monkeypatch)
+    for lam in dist:
+        out = rec.test_pi_report(lam, phi)
+        assert (out.verdict, out.step) == (True, 6)
+    info = decision._model_nnf.cache_info()
+    assert (len(built), len(entailments), info.misses) == (288, 16, 297)
 
 
 def test_cover_queries_on_non_literal_members_keep_pool_and_core(monkeypatch):
