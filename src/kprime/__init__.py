@@ -13,7 +13,7 @@ _HOMES = {
                  "qbf_encode", "qbf_valid_bruteforce", "xc_encode"),
     "formulas": ("And", "Box", "Dia", "Formula", "Metrics", "Neg", "Or", "Var",
                  "bottom", "dual_negate", "metrics", "nnf", "top", "unparse"),
-    "generate": ("gen_implicants", "gen_pi", "iter_pi"),
+    "generate": ("gen_implicants", "gen_pi", "iter_implicants", "iter_pi"),
     "grammar": ("ClauseView4", "DefId", "SyntacticKind", "TermView4", "is_member",
                 "view4"),
     "parser": ("ParseError", "ReservedNameError", "parse"),

@@ -33,7 +33,7 @@ from types import SimpleNamespace
 from .decision import entails, sat
 from .dnf import cnf4, dnf4
 from .formulas import _SUGAR, And, Formula, Or, Var, fold_or, nnf, subformulas, unparse
-from .generate import gen_implicants, iter_pi
+from .generate import iter_implicants, iter_pi
 from .grammar import DefId, SyntacticKind, _dedup, is_member
 from .parser import parse
 from .recognize import test_implicant_report, test_pi_report
@@ -149,7 +149,7 @@ def _cmd_genpi(args) -> int:
 
 
 def _cmd_implicants(args) -> int:
-    return _emit_lines(args, gen_implicants(_one_formula(args)))
+    return _emit_lines(args, iter_implicants(_one_formula(args)))
 
 
 def _report(args, out) -> int:

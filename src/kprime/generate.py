@@ -113,6 +113,13 @@ def gen_pi(f: Formula) -> tuple[Formula, ...]:
     return tuple(iter_pi(f))
 
 
+def iter_implicants(f: Formula):
+    """All prime implicants of f, as negations of the prime implicates of
+    ~f, each yielded as soon as the filter keeps it."""
+    for l in iter_pi(dual_negate(f)):
+        yield dual_negate(l)
+
+
 def gen_implicants(f: Formula) -> tuple[Formula, ...]:
-    """All prime implicants of f, as negations of the prime implicates of ~f."""
-    return tuple(dual_negate(l) for l in iter_pi(dual_negate(f)))
+    """All prime implicants of f, in the order iter_implicants yields them."""
+    return tuple(iter_implicants(f))

@@ -20,8 +20,10 @@ branch.  Other inputs go to a pruned include/exclude search.
 
 The box check decides every box disjunct in one walk: a branch either
 offers a satisfiable term to the remainder of each box, or to that of one
-box only, or to none, and its modal queries are those the implicate check
-of step 1 already memoized.  The propositional and diamond checks that
+box only, or to none.  Its modal queries go through the sat core's modal
+step, which takes the child model found for one diamond again for the
+next diamond whose body holds on that model's root, so most of them ask
+the core nothing.  The propositional and diamond checks that
 the main test runs do not check again that their clause is an implicate,
 as step 1 implies it.  Recognition asks each "f entails p1 or ... or pn"
 as the tuple of conjuncts f, !p1, ..., !pn, and builds no disjunction.
@@ -30,6 +32,7 @@ as the tuple of conjuncts f, !p1, ..., !pn, and builds no disjunction.
 from collections import namedtuple
 
 from .decision import (
+    _child_models,
     _children,
     _countermodel_any,
     _model_nnf,
@@ -355,20 +358,22 @@ def _boxes_strongest(view: ClauseView4, phi: Formula) -> bool:
     literals than the ones it stands for, and dropping literals keeps both
     satisfiability and the entailment of beta.
 
-    The modal queries are mostly memo keys that step 1's entails(phi, l)
-    filled.  On a normalized l the <>!chi_j condition never rejects a box
-    that beta would pass, as chi_i & !psi... |= beta |= chi_j would make
-    []chi_i redundant; it is asked first all the same, as those memo hits,
-    so that only the boxes a branch can pass ask whether they entail beta.
+    The <>!chi_j are asked against B's boxes through the core's modal step,
+    so the child model found for one !chi_j serves each later one whose
+    surface holds on its root, and the core is asked for the others only.
+    On a normalized l the <>!chi_j condition never rejects a box that beta
+    would pass, as chi_i & !psi... |= beta |= chi_j would make []chi_i
+    redundant; it is asked first all the same, as it mostly costs no core
+    query, so that only the boxes a branch can pass ask whether they
+    entail beta.
     """
     not_psis = [dual_negate(p) for p in view.diamonds]
     bodies = [fold_and([chi] + not_psis) for chi in view.boxes]
     not_chis = [dual_negate(chi) for chi in view.boxes]
     pending = set(range(len(bodies)))  # the boxes not passed yet
     for branch in _remainder(phi, [p for p in view.parts if type(p) is not Box]):
-        boxes = [p.child for p in branch if type(p) is Box]
-        failed = (j for j, q in enumerate(not_chis)
-                  if _model_nnf(_spine([q, *boxes])) is None)
+        failed = (j for j, model in enumerate(_child_models(branch, not_chis))
+                  if model is None)
         j = next(failed, None)
         if j is None:
             usable = set(pending)
@@ -376,6 +381,7 @@ def _boxes_strongest(view: ClauseView4, phi: Formula) -> bool:
             usable = {j}
         else:
             continue
+        boxes = [p.child for p in branch if type(p) is Box]
         if boxes:
             beta = (fold_and(boxes),)
             usable = {i for i in usable if _countermodel_any(bodies[i], beta) is None}
@@ -396,7 +402,7 @@ def test_pi_report(l: Formula, phi: Formula) -> TestOutcome:
     propositional literals, 5 box disjuncts against the remainder, 6 the
     diamond disjuncts merged into one body.  Steps 5 and 6 each walk the
     branches of phi & !(the clause's non-box, resp. non-diamond, parts)
-    once; step 5 asks the core the modal queries that step 1 memoized
+    once; step 5 asks its modal queries through the core's modal step
     (see _boxes_strongest), and step 6 reads an empty walk as an
     unsatisfiable remainder.  Neither builds a remainder formula.
     """

@@ -5,7 +5,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, product
 
 from kprime.cli import main as cli_main
-from kprime.decision import _countermodel_any, entails, is_tautology, sat, true_at_root
+from kprime.decision import (_countermodel_any, _model_nnf, _spine, entails, is_tautology, sat,
+                             true_at_root)
 from kprime.families import QbfInstance, XcInstance
 from kprime.formulas import (_SUGAR, And, Box, Dia, Metrics, Neg, Or, Var, bottom,
                              dual_negate, fold_and, fold_or, nnf)
@@ -235,6 +236,43 @@ def box_pi_verdict(chi, psis, phi_prime) -> bool:
     if not entails(phi_prime, clause):
         raise ValueError("not an implicate: %s" % clause)
     return box_pi_reference(body, phi_prime)
+
+
+# The sat core's modal step as first written, the reference that
+# tests/test_decision.py checks decision._children against: it asks the
+# core for every diamond of the branch, where _children may yield the
+# previous diamond's model again.
+
+
+def children_reference(branch):
+    """The models of each diamond body & all box bodies of a propositionally
+    consistent surface branch, () when the branch has no diamond, or None
+    as soon as one of them is unsatisfiable."""
+    dias = [p.child for p in branch if type(p) is Dia]
+    if not dias:
+        return ()
+    boxes = [p.child for p in branch if type(p) is Box]
+    children = []
+    for p in dias:
+        model = _model_nnf(_spine([p, *boxes]))
+        if model is None:
+            return None
+        children.append(model)
+    return tuple(children)
+
+
+def surface_value_reference(names, f):
+    """Truth of the NNF formula f at a root where exactly names are true,
+    every box and diamond read as false, by recursion."""
+    if isinstance(f, Var):
+        return f.name in names
+    if isinstance(f, Neg):
+        return f.child.name not in names
+    if isinstance(f, And):
+        return surface_value_reference(names, f.left) and surface_value_reference(names, f.right)
+    if isinstance(f, Or):
+        return surface_value_reference(names, f.left) or surface_value_reference(names, f.right)
+    return False
 
 
 # Step 5 of recognition as first written, the reference that

@@ -15,6 +15,7 @@ from kprime import And, Box, Dia, Neg, Or, Var, cli, formulas, parse
 from kprime.decision import entails, equivalent
 from kprime.families import FamilySpec, generate
 from kprime.formulas import fold_and, fold_or, nnf, subformulas, unparse
+from kprime.generate import gen_implicants
 from kprime.grammar import DefId, SyntacticKind
 
 from helpers import random_formula, run_cli
@@ -272,6 +273,26 @@ def test_iter_prints_each_implicate_when_found(monkeypatch):
         lines = out.splitlines(keepends=True)
         assert code == 0 and len(lines) == 4
         assert printed == ["".join(lines[:k + 1]) for k in range(len(lines))]
+
+
+def test_implicants_prints_each_implicant_when_found(monkeypatch):
+    # implicants streams through iter_implicants, which gen_implicants
+    # collects, so both give the same terms in the same order
+    real = cli.iter_implicants
+    printed = []
+
+    def recording(f):
+        for term in real(f):
+            yield term
+            printed.append(sys.stdout.getvalue())
+
+    monkeypatch.setattr(cli, "iter_implicants", recording)
+    code, out, _ = run_cli("implicants", "-e", EX15)
+    lines = out.splitlines(keepends=True)
+    assert code == 0 and len(lines) == 2
+    assert printed == ["".join(lines[:k + 1]) for k in range(len(lines))]
+    assert out == "".join(unparse(t) + "\n" for t in gen_implicants(parse(EX15)))
+    assert not hasattr(cli, "gen_implicants")
 
 
 def test_json_round_trip():

@@ -1,7 +1,12 @@
 import ast
 import inspect
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -17,13 +22,14 @@ from kprime.decision import (
 from kprime import semantics
 from kprime.dnf import _delta_entries, dnf4
 from kprime.families import FamilySpec, generate, qbf_encode, qbf_valid_bruteforce
-from kprime.formulas import And, Box, Dia, Neg, Or, Var, fold_and, fold_or, nnf
+from kprime.formulas import And, Box, Dia, Neg, Or, Var, dual_negate, fold_and, fold_or, nnf
 from kprime.grammar import SyntacticKind, view4
 from kprime.parser import parse
 from kprime.semantics import KripkeModel, holds, sat_bruteforce
 
 from helpers import (
     all_qbf_instances,
+    children_reference,
     clause_entails_fast,
     count_nodes,
     random_formula,
@@ -31,6 +37,7 @@ from helpers import (
     random_prop_lit,
     random_qbf,
     random_surface_clause,
+    surface_value_reference,
 )
 
 a, b, c = Var("a"), Var("b"), Var("c")
@@ -297,17 +304,17 @@ def test_qbf_modal_checks(monkeypatch):
     # the default stream re-derives one branch assignment many times:
     # 25 646 branches and 446 distinct modal checks on this instance
     calls = []
-    children = decision._children
+    child_models = decision._child_models
 
-    def counted(branch):
+    def counted(branch, bodies=None):
         calls.append(branch)
-        return children(branch)
+        return child_models(branch, bodies)
 
-    monkeypatch.setattr(decision, "_children", counted)
+    monkeypatch.setattr(decision, "_child_models", counted)
     decision._model_nnf.cache_clear()
     q = random_qbf(random.Random(1), 4)
     assert sat(qbf_encode(q)) is False
-    assert len(calls) <= 100
+    assert 0 < len(calls) <= 100
 
 
 def test_clause_fast_examples():
@@ -537,6 +544,100 @@ def test_countermodel_refutes_entailment():
                 k = _kripke(model)
                 assert not holds(k, "0", g)
                 assert premise is None or holds(k, "0", premise)
+
+
+def _random_modal_branch(rng, names="abcd"):
+    # a propositionally consistent surface branch: a few literals, two to
+    # four diamonds and up to two boxes.  Some diamond bodies are l | []x
+    # or l | <>x, often true at a root only through their modal literal
+    lits = [random_prop_lit(rng, v) for v in rng.sample(names, rng.randint(0, 2))]
+
+    def body():
+        if rng.random() < 0.3:
+            modal = Box if rng.random() < 0.5 else Dia
+            return Or(random_prop_lit(rng, names), modal(random_nnf(rng, names, 1, 3)))
+        return random_nnf(rng, names, rng.randint(0, 2), rng.randint(1, 6))
+
+    modal = [Dia(body()) for _ in range(rng.randint(2, 4))]
+    modal += [Box(random_nnf(rng, names, rng.randint(0, 1), rng.randint(1, 4)))
+              for _ in range(rng.randint(0, 2))]
+    rng.shuffle(modal)
+    return tuple(dict.fromkeys(lits + modal))
+
+
+def test_child_models_are_models_and_reuse_only_what_the_surface_shows():
+    # the modal step against children_reference, which asks the core for
+    # every diamond, on 2 000 seeded branches with two diamonds or more.
+    # A child may be the previous diamond's model only when the body holds
+    # at its root with every modal literal read false; a body true there
+    # only through a modal literal must go to the core
+    rng = random.Random(28)
+    seen = Counter()
+    while seen["branches"] < 2000:
+        branch = _random_modal_branch(rng)
+        dias = [p.child for p in branch if type(p) is Dia]
+        if len(dias) < 2:
+            continue
+        seen["branches"] += 1
+        boxes = [p.child for p in branch if type(p) is Box]
+        got = decision._children(branch)
+        assert (got is None) == (children_reference(branch) is None), branch
+        if got is None:
+            seen["unsatisfiable"] += 1
+        else:
+            assert len(got) == len(dias), branch
+            for k, (p, child) in enumerate(zip(dias, got)):
+                kripke, root = semantics._materialize(child)
+                assert all(holds(kripke, root, q) for q in (p, *boxes)), (branch, p)
+                if child is not decision._model_nnf(decision._spine([p, *boxes])):
+                    assert k and child is got[k - 1], (branch, p)
+                    assert surface_value_reference(child[0], p), (branch, p)
+                    seen["reused"] += 1
+                elif k and true_at_root(got[k - 1], p) and not surface_value_reference(
+                        got[k - 1][0], p):
+                    seen["true only through a modal literal"] += 1
+        # step 5's scan of any bodies goes on past an unsatisfiable one
+        bodies = dias + [dual_negate(q) for q in boxes] + [And(a, Neg(a))]
+        rng.shuffle(bodies)
+        models = list(decision._child_models(branch, bodies))
+        assert len(models) == len(bodies), branch
+        for p, model in zip(bodies, models):
+            want = decision._model_nnf(decision._spine([p, *boxes]))
+            assert (model is None) == (want is None), (branch, p)
+            if model is not None:
+                kripke, root = semantics._materialize(model)
+                assert all(holds(kripke, root, q) for q in (p, *boxes)), (branch, p)
+        seen["a model after a None"] += any(
+            m is not None for m in models[models.index(None):])
+    assert min(seen.values()) >= 200, seen
+
+
+def test_shared_child_models_decide_300_nested_levels(tmp_path):
+    # 300 levels of X := <>X & <>(b | X), a DAG: b | X is true at the root
+    # of X's model only through X's diamonds, so a check that walked into
+    # the children without a memo would take time exponential in the
+    # depth.  In text, 300 levels of <>c & <>(c | b) & [](...), whose two
+    # diamonds share one child model per level, under a diamond beside
+    # <>(d | <>...<>e), true there only through 300 diamonds.  Each run is
+    # a fresh process under the default recursion limit
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys\n"
+            "from kprime.decision import sat\n"
+            "from kprime.formulas import And, Dia, Or, Var\n"
+            "assert sys.getrecursionlimit() == 1000\n"
+            "x, b = Var('leaf'), Var('b')\n"
+            "for _ in range(300):\n"
+            "    x = And(Dia(x), Dia(Or(b, x)))\n"
+            "print('sat' if sat(x) else 'unsat')\n")
+    path = tmp_path / "shared.txt"
+    levels = "<>c & <>(c | b) & [](" * 300 + "a" + ")" * 300
+    path.write_text("<>(%s) & <>(d | %se)\n" % (levels, "<>" * 300))
+    for argv in (["-c", code], ["-m", "kprime.cli", "sat", str(path)]):
+        done = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "sat\n", ""), argv[:2]
 
 
 def test_true_at_root_walks_wide_bodies_without_recursion():

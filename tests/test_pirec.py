@@ -256,12 +256,16 @@ def test_box_step_matches_reference():
 def test_box_step_walks_phi_once_on_thm18(monkeypatch):
     # thm18 n=4: the distinguished clause has 16 box disjuncts.  Deciding
     # them by one remainder and one dnf4 stream per box made 1 041 memo
-    # hits on the same 307 core problems and asked for 1 129 nodes; the
-    # one walk asks step 1's modal queries again as memo hits, and of the
-    # 155 nodes asked for it asks only the 48 of each branch's box
-    # conjunction, whose dual step 1 holds already.  Step 4 does not check
-    # again that the clause is an implicate: that re-check was one more
-    # memo hit and re-assembled the clause, 16 more nodes
+    # hits on the same 307 core problems and asked for 1 129 nodes.  The
+    # one walk made 376 hits on those 307 problems; a diamond whose body
+    # holds on the surface of the child model found last reuses it, in
+    # the core and in step 5's <>!chi_j scan alike, so 68 problems and 47
+    # hits are left.  Of the 155 nodes asked for, the walk asks only the
+    # 48 of each branch's box conjunction, whose dual step 1 holds
+    # already; the reuse builds no node, so that count does not move.
+    # Step 4 does not check again that the clause is an implicate: that
+    # re-check was one more memo hit and re-assembled the clause, 16 more
+    # nodes
     decision._model_nnf.cache_clear()
     gc.collect()
     phi, (dist,) = generate(FamilySpec("thm18", n=4))
@@ -279,8 +283,20 @@ def test_box_step_walks_phi_once_on_thm18(monkeypatch):
     assert (out.verdict, out.step) == (True, 5)
     # recognition streams no dnf4 at all
     assert walks == [(nnf(phi),)] and not hasattr(rec, "dnf4")
-    assert (info.misses, info.hits) == (307, 376)
+    assert (info.misses, info.hits) == (68, 47)
     assert len(built) == 155
+
+
+def test_implicate_check_reuses_child_models_on_thm18():
+    # step 1 alone on thm18 n=4, from a cold memo: each surface branch of
+    # phi & !l pairs 16 diamonds <>!chi_j with 4 boxes, and a child model
+    # built for one <>!chi_j mostly satisfies the next.  Asking the core
+    # for every diamond made 137 misses
+    decision._model_nnf.cache_clear()
+    phi, (dist,) = generate(FamilySpec("thm18", n=4))
+    assert entails(phi, dist)
+    info = decision._model_nnf.cache_info()
+    assert (info.misses, info.hits) == (32, 0)
 
 
 def test_dia_pi_first_example():
