@@ -5,7 +5,7 @@ as positional arguments (one formula per file), prints deterministic
 text or JSON, and signals its verdict through the exit code: 0 for a
 successful affirmative or neutral result, 1 for a negative verdict
 (unsat, non-entailment, not prime, not a member), 2 for usage, parse,
-or input errors.
+or input errors, and for running out of memory or recursion depth.
 
 argv is read in one loop over the COMMANDS table, the only place flags,
 help texts, choices and types are written down. It takes `--flag value`,
@@ -392,6 +392,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    except MemoryError:
+        pass
+    # reached on a MemoryError only, once the work its traceback held is freed
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 gc.freeze()

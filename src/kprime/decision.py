@@ -17,16 +17,16 @@ never makes a branch unsatisfiable.
 The one core, _model_nnf, returns a tree model, as (names true at the
 root, child trees), or None when the formula is unsatisfiable: the first
 branch whose modal step passes, with one child per diamond of that branch,
-a model of the diamond's body and all box bodies.  A child may be the
-previous diamond's model: when the body holds at that model's root with
-its own boxes and diamonds read as false, the model satisfies it, and the
-core is not asked.  Variables the root does not name are false, and the
-children are all the root's successors, so every literal of the branch
-holds at the root.  Models and None are
-memoized in a bounded LRU cache keyed on a tuple of interned conjuncts, as
-a modal step's diamond body and box bodies, never built into a conjunction;
-sat, entails and countermodel all read it, and a cached model is shared by
-every tree holding it.  true_at_root evaluates an NNF formula on a tree.
+a model of the diamond's body and all box bodies.  Variables the root does
+not name are false, and the children are all the root's successors, so
+every literal of the branch holds at the root.  One modal step,
+_child_models, serves the core, dnf4 and recognition: a child may be the
+previous diamond's model, when the body is true_at_root of that model's
+root alone, (names, None).  Models and None are memoized in a bounded LRU
+cache keyed on a tuple of interned conjuncts, as a modal step's diamond
+body and box bodies, never built into a conjunction; sat, entails and
+countermodel all read it, and a cached model is shared by every tree
+holding it.
 """
 
 from __future__ import annotations
@@ -96,72 +96,28 @@ def surface_branches(*roots: Formula, skip_satisfied: bool = False):
                 del sign[name]
 
 
-def _children(branch):
-    """The modal step for one propositionally consistent surface branch:
-    the models of each diamond body & all box bodies, () when the branch
-    has no diamond, or None as soon as one of them is unsatisfiable."""
-    children = []
-    for model in _child_models(branch):
-        if model is None:
-            return None
-        children.append(model)
-    return tuple(children)
-
-
 def _child_models(branch, bodies=None):
     """Yield, for each body p of the branch's diamonds (or of bodies), a
     tree model of p & the branch's box bodies, or None when there is none.
 
-    When p holds on the surface of the root of the model yielded last,
-    that model is yielded again: it satisfies every box body, so it is a
-    model of p & boxes.  Otherwise the core is asked.
+    When p is true_at_root of the model yielded last, read as its root
+    alone, that model is yielded again: it satisfies every box body, so it
+    is a model of p & boxes.  Otherwise the core is asked.
     """
     if bodies is None:
         bodies = [p.child for p in branch if type(p) is Dia]
     if not bodies:
         return
     boxes = [p.child for p in branch if type(p) is Box]
-    last = None
+    last = root = None  # root: the root-only view of last
     for p in bodies:
-        if last is None or not _holds_on_surface(last[0], p):
+        if root is None or not true_at_root(root, p):
             model = _model_nnf(_spine([p, *boxes]))
             if model is None:
                 yield None
                 continue
-            last = model
+            last, root = model, (model[0], None)
         yield last
-
-
-def _holds_on_surface(names, g) -> bool:
-    """Truth of the NNF formula g at a root where exactly names are true,
-    reading every box and diamond as false.  In NNF that only makes g
-    falser, so a True is truth on any tree with that root.  And and Or are
-    walked on an explicit stack, and nothing under a modal operator is."""
-    stack = []  # (And/Or node, whether its right operand is the one pending)
-    while True:
-        cls = type(g)
-        while cls is And or cls is Or:
-            stack.append((g, False))
-            g = g.left
-            cls = type(g)
-        if cls is Var:
-            value = g.name in names
-        elif cls is Neg and type(g.child) is Var:
-            value = g.child.name not in names
-        elif cls is Box or cls is Dia:
-            value = False
-        else:
-            raise ValueError("_holds_on_surface needs NNF input")
-        # close every open node whose value is now known
-        while stack:
-            node, on_right = stack.pop()
-            if on_right or value is (type(node) is Or):
-                continue
-            stack.append((node, True))
-            g = node.right
-            break
-        else:
-            return value
 
 
 def _spine(roots: list) -> tuple:
@@ -176,10 +132,10 @@ def _spine(roots: list) -> tuple:
 @lru_cache(maxsize=1 << 18)
 def _model_nnf(roots: tuple):
     """A tree model of the conjunction of the NNF roots, or None."""
-    # _children's loop, run in this frame: a frame between this one and
-    # _child_models would cost each modal level one more unit of the
-    # recursion limit, and cut the nested diamonds sat decides from 331 to
-    # 248
+    # the modal step's children are collected in this frame: a frame
+    # between this one and _child_models would cost each modal level one
+    # more unit of the recursion limit, and cut the nested diamonds sat
+    # decides from 331 to 248
     for branch in surface_branches(*roots, skip_satisfied=True):
         children = []
         for model in _child_models(branch):
@@ -209,9 +165,12 @@ def _countermodel_any(f: Formula, parts) -> tuple | None:
 def true_at_root(model, g: Formula) -> bool:
     """Truth of the NNF formula g at the root of a tree model.
 
-    And and Or are walked on an explicit stack, each operand only while it
-    can still change the result, so only the modal operators recurse, one
-    level per child tree.
+    A model whose children are None stands for its root alone: its boxes
+    and diamonds read as false, which in NNF only makes g falser, so a
+    True there is truth on every tree with that root.  And and Or are
+    walked on an explicit stack, each operand only while it can still
+    change the result, so only the modal operators recurse, one level per
+    child tree.
     """
     names, children = model
     stack = []  # (And/Or node, whether its right operand is the one pending)
@@ -225,6 +184,8 @@ def true_at_root(model, g: Formula) -> bool:
             value = g.name in names
         elif cls is Neg and type(g.child) is Var:
             value = g.child.name not in names
+        elif children is None and (cls is Box or cls is Dia):
+            value = False
         elif cls is Box:
             value = all(true_at_root(c, g.child) for c in children)
         elif cls is Dia:

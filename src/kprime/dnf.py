@@ -3,7 +3,7 @@ form, and the per-term candidate entries used by implicate generation."""
 
 from __future__ import annotations
 
-from .decision import _children, sat, surface_branches
+from .decision import _child_models, sat, surface_branches
 from .formulas import _RESERVED_LITS, And, Box, Dia, Formula, dual_negate, nnf
 from .grammar import TermView4, _split4
 
@@ -24,7 +24,7 @@ def dnf4(f: Formula):
         if parts in seen:
             continue
         seen.add(parts)
-        if _children(parts) is not None:
+        if None not in _child_models(parts):
             yield TermView4(*_split4(parts), parts)
 
 

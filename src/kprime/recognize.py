@@ -33,7 +33,6 @@ from collections import namedtuple
 
 from .decision import (
     _child_models,
-    _children,
     _countermodel_any,
     _model_nnf,
     _spine,
@@ -90,7 +89,7 @@ def _remainder(phi: Formula, parts):
     # pn) that pass the modal step, as the sat core walks them; they make
     # a DNF of the remainder, empty iff it is unsatisfiable
     for branch in surface_branches(nnf(phi), *map(dual_negate, parts), skip_satisfied=True):
-        if _children(branch) is not None:
+        if None not in _child_models(branch):
             yield branch
 
 

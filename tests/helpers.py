@@ -239,9 +239,9 @@ def box_pi_verdict(chi, psis, phi_prime) -> bool:
 
 
 # The sat core's modal step as first written, the reference that
-# tests/test_decision.py checks decision._children against: it asks the
-# core for every diamond of the branch, where _children may yield the
-# previous diamond's model again.
+# tests/test_decision.py checks decision._child_models against: it asks
+# the core for every diamond of the branch, where _child_models may yield
+# the previous diamond's model again.
 
 
 def children_reference(branch):

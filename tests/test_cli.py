@@ -369,6 +369,22 @@ def test_usage_and_parse_errors():
         assert out_cmd.startswith("usage: kpi %s " % command)
 
 
+def test_out_of_memory_and_recursion_exit_2_with_a_named_error(monkeypatch):
+    # a MemoryError or RecursionError inside a command is an error, exit 2,
+    # not the negative verdict 1 that an escaping traceback exits with
+    def out_of_memory(f):
+        raise MemoryError
+
+    def too_deep(f):
+        return too_deep(f)
+
+    for fail, name in ((out_of_memory, "out of memory"), (too_deep, "recursion")):
+        monkeypatch.setattr(cli, "iter_pi", fail)
+        code, out, err = run_cli("genpi", "-e", "a")
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: ") and name in err and err.count("\n") == 1, err
+
+
 class _ReferenceCommandParser:
     """The argparse front end that kpi's one-loop argv reader replaced,
     kept as the reference for it: a command's parser, built from the same

@@ -22,7 +22,7 @@ from kprime.decision import (
 from kprime import semantics
 from kprime.dnf import _delta_entries, dnf4
 from kprime.families import FamilySpec, generate, qbf_encode, qbf_valid_bruteforce
-from kprime.formulas import And, Box, Dia, Neg, Or, Var, dual_negate, fold_and, fold_or, nnf
+from kprime.formulas import And, Box, Dia, Neg, Or, Var, dual_negate, fold_and, fold_or, nnf, subformulas
 from kprime.grammar import SyntacticKind, view4
 from kprime.parser import parse
 from kprime.semantics import KripkeModel, holds, sat_bruteforce
@@ -580,7 +580,9 @@ def test_child_models_are_models_and_reuse_only_what_the_surface_shows():
             continue
         seen["branches"] += 1
         boxes = [p.child for p in branch if type(p) is Box]
-        got = decision._children(branch)
+        got = tuple(decision._child_models(branch))
+        if None in got:
+            got = None
         assert (got is None) == (children_reference(branch) is None), branch
         if got is None:
             seen["unsatisfiable"] += 1
@@ -640,6 +642,26 @@ def test_shared_child_models_decide_300_nested_levels(tmp_path):
         assert (done.returncode, done.stdout, done.stderr) == (0, "sat\n", ""), argv[:2]
 
 
+def test_true_at_root_of_a_root_alone_reads_modal_literals_false():
+    # (names, None) stands for a root alone: true_at_root there is the
+    # recursive surface reference, on 2 000 seeded bodies with modal
+    # literals, both values seen many times
+    rng = random.Random(29)
+    seen = Counter()
+    while seen["bodies"] < 2000:
+        g = random_nnf(rng, "abcd", rng.randint(1, 3), rng.randint(2, 10))
+        if not any(type(h) in (Box, Dia) for h in subformulas(g)):
+            continue
+        if rng.random() < 0.5:
+            g = Or(random_prop_lit(rng, "abcd"), g)
+        seen["bodies"] += 1
+        names = frozenset(v for v in "abcd" if rng.random() < 0.5)
+        want = surface_value_reference(names, g)
+        assert true_at_root((names, None), g) is want, (names, g)
+        seen[want] += 1
+    assert min(seen.values()) >= 200, seen
+
+
 def test_true_at_root_walks_wide_bodies_without_recursion():
     # operands 10^4 deep in one And or Or chain, under the default
     # recursion limit: only the modal operators may recurse
@@ -655,6 +677,18 @@ def test_true_at_root_walks_wide_bodies_without_recursion():
     assert true_at_root(model, Box(Or(left, xs[0])))
     with pytest.raises(ValueError):
         true_at_root(model, Neg(And(xs[0], xs[1])))
+    # the modal step's reuse check on 10^5-wide chains at a root alone,
+    # where the modal literal each chain ends in reads false
+    xs = [Var("v%d" % i) for i in range(10 ** 5)]
+    root = (frozenset(x.name for x in xs), None)
+    assert true_at_root(root, fold_and(xs))
+    assert not true_at_root(root, fold_and(xs + [Box(xs[0])]))
+    assert not true_at_root(root, fold_or([Neg(x) for x in xs] + [Dia(xs[0])]))
+    left = Box(xs[0])
+    for x in xs:
+        left = Or(left, Neg(x))
+    assert not true_at_root(root, left)
+    assert true_at_root(root, Or(left, xs[-1]))
 
 
 def test_semantics_is_independent_of_the_core():
