@@ -147,19 +147,15 @@ def _model_nnf(roots: tuple):
     return None
 
 
-def countermodel(f: Formula | None, g: Formula):
-    """A tree model of f & !g (of !g when f is None), or None iff f |= g."""
-    # the key holds !g whole, so the memo keeps g's weakly held dual alive
-    neg = dual_negate(g)
-    return _model_nnf((neg,) if f is None else (nnf(f), neg))
-
-
-def _countermodel_any(f: Formula, parts) -> tuple | None:
-    """A tree model of f & !p1 & ... & !pn for parts (p1, ..., pn), or None
-    iff f |= p1 | ... | pn.  The negations are memo key conjuncts, so no
-    disjunction or dual chain is built; the walk order, and so the model,
-    is that of countermodel(f, p1 | ... | pn) for nonempty parts."""
-    return _model_nnf(_spine([nnf(f), *map(dual_negate, parts)]))
+def countermodel(f: Formula | None, *parts: Formula):
+    """A tree model of f & !p1 & ... & !pn (of !p1 & ... & !pn when f is
+    None), or None iff f |= p1 | ... | pn.  The negations are memo key
+    conjuncts, so no disjunction or dual chain is built; the walk order,
+    and so the model, is that of countermodel(f, p1 | ... | pn)."""
+    # the key holds each !p whole, so the memo keeps p's weakly held dual
+    # alive; spining !p would let it go, and the dual be built again
+    negs = tuple(map(dual_negate, parts))
+    return _model_nnf(negs if f is None else (nnf(f), *negs))
 
 
 def true_at_root(model, g: Formula) -> bool:

@@ -23,7 +23,9 @@ as the mask of the entries true at its root.  A model refutes "e entails
 candidate i" when it makes e true and every entry of i false, and refutes
 that i is a tautology when it makes every entry of i false.  A query that
 no pooled model refutes asks the core for a countermodel, and one that
-comes back joins the pool.
+comes back joins the pool.  The core is given a candidate's entries as
+separate parts; a candidate is folded into a clause only when it is
+yielded.
 """
 
 from functools import cache
@@ -80,10 +82,9 @@ def iter_pi(f: Formula):
         for pm in pool:
             if not pm & o:
                 refuted |= pm
-        c = fold_or(picks[i])
         for e, b in bit.items():
             if not b & (o | refuted):
-                model = countermodel(e, c)
+                model = countermodel(e, *picks[i])
                 if model is None:
                     s |= b
                 else:
@@ -91,9 +92,8 @@ def iter_pi(f: Formula):
         return s
 
     for i, ps in enumerate(picks):
-        c = fold_or(ps)
         if all(pm & own[i] for pm in pool):
-            model = countermodel(None, c)
+            model = countermodel(None, *ps)
             if model is None:
                 continue  # a tautology
             learn(model)
@@ -105,7 +105,7 @@ def iter_pi(f: Formula):
             if j < i or (j > i and own[i] & ~entailers(j)):
                 break
         else:
-            yield c
+            yield fold_or(ps)
 
 
 def gen_pi(f: Formula) -> tuple[Formula, ...]:

@@ -9,14 +9,14 @@ the sat core's modal step, and asks the core memo keys of conjuncts.
 The diamond check looks for a subset of the modal bodies found at the top
 propositional level of the remainder; a qualifying subset witnesses a
 strictly stronger implicate.  It walks the branches once into a reach
-table of bitmasks, decides whether a qualifying subset exists, and
-recovers the canonical (smallest, then leftmost) subset only when one
-does.  Its cover queries on subsets of literals are decided by bitmasks
+table of bitmasks and searches the subsets one size at a time, so the
+first qualifying subset found is the canonical (smallest, then leftmost)
+one.  Its cover queries on subsets of literals are decided by bitmasks
 over the surface branches of the diamond's body when that body is
 propositional; when, moreover, every member of the universe is a
 literal, those branches give the maximal subsets that do not cover the
-body, and a qualifying subset exists iff one of them reaches every
-branch.  Other inputs go to a pruned include/exclude search.
+body, and when none of them reaches every branch no subset qualifies and
+no search runs.
 
 The box check decides every box disjunct in one walk: a branch either
 offers a satisfiable term to the remainder of each box, or to that of one
@@ -26,16 +26,16 @@ next diamond whose body holds on that model's root, so most of them ask
 the core nothing.  The propositional and diamond checks that
 the main test runs do not check again that their clause is an implicate,
 as step 1 implies it.  Recognition asks each "f entails p1 or ... or pn"
-as the tuple of conjuncts f, !p1, ..., !pn, and builds no disjunction.
+as countermodel(f, p1, ..., pn), and builds no disjunction.
 """
 
 from collections import namedtuple
 
 from .decision import (
     _child_models,
-    _countermodel_any,
     _model_nnf,
     _spine,
+    countermodel,
     entails,
     is_tautology,
     sat,
@@ -116,73 +116,34 @@ def _delete_redundant(parts: list[Formula]) -> list[Formula]:
     k = 0
     while len(parts) > 1 and k < len(parts):
         rest = parts[:k] + parts[k + 1 :]
-        if _countermodel_any(parts[k], rest) is None:
+        if countermodel(parts[k], *rest) is None:
             parts = rest
         else:
             k += 1
     return parts
 
 
-def test_prop_pi(l: ClauseView4, phi: Formula) -> bool:
-    """No iff dropping some propositional literal keeps l an implicate."""
-    whole = l.assemble()
-    if not entails(phi, whole):
-        raise ValueError("not an implicate: %s" % whole)
-    return _prop_pi(l, phi)
-
-
 def _prop_pi(l: ClauseView4, phi: Formula) -> bool:
     # step 4 of test_pi_report, whose step 1 checked that phi entails l
     for g in l.gammas:
         rest = [p for p in l.parts if p != g]
-        if _countermodel_any(phi, rest) is None:
+        if countermodel(phi, *rest) is None:
             return False
     return True
 
 
-def test_dia_pi_report(psi: Formula, phi: Formula) -> TestOutcome:
-    """Prime test for a diamond clause, with the refuting subset if any.
-
-    A subset S of the witness universe refutes primeness when psi does not
-    entail the disjunction of S and every term of dnf4(phi) reaches S: it
-    offers a diamond conjunct eta with ({eta} union boxes) meeting S whose
-    strengthening dia(eta and beta) entails dia(psi).
-
-    The surface branches of nnf(phi) that pass the modal step are walked
-    once into a reach table, one bitmask over the universe per branch, so
-    reaching is bit arithmetic; a term reaches whatever the branch it
-    extends reaches (see _dia_pi).  Not covering psi is
-    closed under subsets and reaching under supersets, so a refuting S
-    exists iff some maximal non-covering S reaches.  When every member of
-    the universe is a literal and bits decide the cover queries (below),
-    the maximal non-covering sets are known: for each consistent surface
-    branch of nnf(psi), the positions off the branch with one side of each
-    complementary pair there dropped, and trying those decides whether a
-    refuting S exists.  Otherwise an include/exclude search that drops
-    every branch whose largest extension does not reach decides it.  Only
-    then is the canonical witness recovered, the first refuting subset by
-    size, then lexicographically by position, by the same search bounded
-    to each size in turn.
-
-    A cover query asks whether psi entails the disjunction of S.  When S
-    holds only literals, and psi has at most COVER_BRANCH_BOUND consistent
-    surface branches and none with a modal literal, bits decide it: S
-    covers psi iff S holds a complementary pair or meets the literals of
-    every branch.  Any other query goes to a pool of the countermodels
-    found so far, then to the core.  A query that fails in the core comes
-    with a countermodel of psi, which refutes covering every subset of the
-    members false at its root.
-    """
-    if not entails(phi, Dia(psi)):
-        raise ValueError("not an implicate: <>%s" % psi)
-    return _dia_pi(psi, phi)
-
-
 def _dia_pi(psi: Formula, phi: Formula, rest=()) -> TestOutcome:
-    # step 6 of test_pi_report, against the remainder phi & !(rest), rest
-    # the non-diamond parts of the normalized clause: step 1 showed that
-    # phi entails the clause, so the remainder entails <>psi.  It has no
+    # Step 6 of test_pi_report: the prime test of <>psi against the
+    # remainder phi & !(rest), rest the non-diamond parts of the normalized
+    # clause, with the refuting subset if any.  Step 1 showed that phi
+    # entails the clause, so the remainder entails <>psi.  It has no
     # branch iff it is unsatisfiable, which it is when phi entails rest.
+    #
+    # A subset S of the witness universe refutes primeness when psi does
+    # not entail the disjunction of S and every term of dnf4 of the
+    # remainder reaches S: it offers a diamond conjunct eta with ({eta}
+    # union boxes) meeting S whose strengthening <>(eta & beta) entails
+    # <>psi.
     #
     # The reach table holds one mask per branch: the universe positions
     # whose presence in S lets the branch reach S, namely its box bodies
@@ -195,6 +156,28 @@ def _dia_pi(psi: Formula, phi: Formula, rest=()) -> TestOutcome:
     # literals mean more diamonds and a stronger beta, which keeps every
     # good body good, so such a term's mask holds its branch's: the table
     # decides reaching as the terms do.
+    #
+    # Not covering psi is closed under subsets and reaching under
+    # supersets, so a refuting S exists iff some maximal non-covering S
+    # reaches.  When every member of the universe is a literal and bits
+    # decide the cover queries (below), the maximal non-covering sets are
+    # known: for each consistent surface branch of nnf(psi), the positions
+    # off the branch with one side of each complementary pair there
+    # dropped; when none of them reaches, no S refutes and no search runs.
+    # Otherwise, or when one of them reaches, an include/exclude search
+    # bounded to each size in turn decides: the first refuting subset it
+    # finds is the canonical witness, the first by size, then
+    # lexicographically by position, and no size finding one means that
+    # none refutes.
+    #
+    # A cover query asks whether psi entails the disjunction of S.  When S
+    # holds only literals, and psi has at most COVER_BRANCH_BOUND
+    # consistent surface branches and none with a modal literal, bits
+    # decide it: S covers psi iff S holds a complementary pair or meets the
+    # literals of every branch.  Any other query goes to a pool of the
+    # countermodels found so far, then to the core.  A query that fails in
+    # the core comes with a countermodel of psi, which refutes covering
+    # every subset of the members false at its root.
     uni = witness_universe(phi, *map(dual_negate, rest))
     xs = uni.x_set
     index = {x: k for k, x in enumerate(xs)}
@@ -225,7 +208,7 @@ def _dia_pi(psi: Formula, phi: Formula, rest=()) -> TestOutcome:
             if any(not mask & ~fm for fm in falsified):
                 covered[mask] = False
             else:
-                model = _countermodel_any(psi, members(mask))
+                model = countermodel(psi, *members(mask))
                 covered[mask] = model is None
                 if model is not None:
                     falsified.append(sum(1 << k for k, x in enumerate(xs)
@@ -236,17 +219,16 @@ def _dia_pi(psi: Formula, phi: Formula, rest=()) -> TestOutcome:
         return all(need & mask for need in needs)
 
     n = len(xs)
-    if bits is not None and bits.literals == (1 << n) - 1:
-        refuted = _maximal_non_cover_reaches(bits, reaches)
-    else:
-        refuted = _first_refutation(n, reaches, covers) is not None
-    if not refuted:
+    literal = bits is not None and bits.literals == (1 << n) - 1
+    if literal and not _maximal_non_cover_reaches(bits, reaches):
         return TestOutcome(True, 3, uni)
     for size in range(1, n + 1):
         mask = _first_refutation(n, reaches, covers, size)
         if mask is not None:
             return TestOutcome(False, 3, WitnessUniverse(xs, members(mask)))
-    raise AssertionError("a refuting subset exists but none was found")
+    if literal:
+        raise AssertionError("a refuting subset exists but none was found")
+    return TestOutcome(True, 3, uni)
 
 
 class _LiteralCover(namedtuple("_LiteralCover", "literals pairs branches")):
@@ -314,24 +296,22 @@ def _maximal_non_cover_reaches(bits: _LiteralCover, reaches) -> bool:
     return False
 
 
-def _first_refutation(n: int, reaches, covers, size: int | None = None) -> int | None:
+def _first_refutation(n: int, reaches, covers, size: int) -> int | None:
+    # The first reaching, non-covering subset of `size` positions, or None.
     # Depth-first over positions 0..n-1, including before excluding, so
-    # the sets of one size come in lexicographic order of positions.  A
-    # branch is dropped when it covers psi (so does every superset), when
-    # even adding every undecided position does not reach, or when it
-    # cannot end with exactly `size` members.  The empty set reaches no
-    # term, so it is never returned.
+    # the sets come in lexicographic order of positions.  A branch is
+    # dropped when it cannot end with exactly `size` members, when even
+    # adding every undecided position does not reach, or when it covers
+    # psi (so does every superset).
     full = (1 << n) - 1
     stack = [(0, 0, 0)]
     while stack:
         mask, k, count = stack.pop()
-        if count == size or k == n:
+        if count == size:
             if reaches(mask):
                 return mask
             continue
-        if not reaches(mask | (full >> k << k)):
-            continue
-        if size is not None and count + n - k < size:
+        if count + n - k < size or not reaches(mask | (full >> k << k)):
             continue
         stack.append((mask, k + 1, count))
         wider = mask | 1 << k
@@ -382,8 +362,8 @@ def _boxes_strongest(view: ClauseView4, phi: Formula) -> bool:
             continue
         boxes = [p.child for p in branch if type(p) is Box]
         if boxes:
-            beta = (fold_and(boxes),)
-            usable = {i for i in usable if _countermodel_any(bodies[i], beta) is None}
+            beta = fold_and(boxes)
+            usable = {i for i in usable if countermodel(bodies[i], beta) is None}
         pending -= usable
         if not pending:
             return True

@@ -5,15 +5,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, product
 
 from kprime.cli import main as cli_main
-from kprime.decision import (_countermodel_any, _model_nnf, _spine, entails, is_tautology, sat,
+from kprime.decision import (_model_nnf, _spine, countermodel, entails, is_tautology, sat,
                              true_at_root)
 from kprime.families import QbfInstance, XcInstance
 from kprime.formulas import (_SUGAR, And, Box, Dia, Metrics, Neg, Or, Var, bottom,
                              dual_negate, fold_and, fold_or, nnf)
 from kprime.grammar import ClauseView4, _dedup, _derives, _flatten
 from kprime.dnf import dnf4
-from kprime.recognize import (TestOutcome, WitnessUniverse, _first_refutation, _literal_cover,
-                              _maximal_non_cover_reaches, test_dia_pi_report, witness_universe)
+from kprime.recognize import (TestOutcome, WitnessUniverse, _dia_pi, _literal_cover,
+                              _maximal_non_cover_reaches, witness_universe)
 from kprime.semantics import KripkeModel
 
 
@@ -216,8 +216,10 @@ def is_nnf(f) -> bool:
 
 
 def dia_pi_verdict(psi, phi) -> bool:
-    """Whether <>psi is a prime implicate of phi, by the diamond subtest."""
-    return test_dia_pi_report(psi, phi).verdict
+    """Whether <>psi, an implicate of phi, is a prime implicate of phi, by
+    the diamond subtest."""
+    assert entails(phi, Dia(psi)), "not an implicate: <>%s" % psi
+    return _dia_pi(psi, phi).verdict
 
 
 def box_pi_verdict(chi, psis, phi_prime) -> bool:
@@ -308,6 +310,8 @@ def box_pi_reference(body, phi_prime) -> bool:
 # tests/test_pirec.py checks recognize._dia_pi against: it builds the
 # remainder phi' = phi & !(rest), checks sat(phi'), and streams dnf4(phi')
 # into the reach table, asking one entailment per distinct good-body query.
+# It decides with one unbounded subset search before recovering the
+# witness size by size, with its own copy of the search.
 
 
 def dia_step_reference(psi, phi, rest=()) -> TestOutcome:
@@ -335,7 +339,7 @@ def dia_step_reference(psi, phi, rest=()) -> TestOutcome:
             if any(not mask & ~fm for fm in falsified):
                 covered[mask] = False
             else:
-                model = _countermodel_any(psi, members(mask))
+                model = countermodel(psi, *members(mask))
                 covered[mask] = model is None
                 if model is not None:
                     falsified.append(sum(1 << k for k, x in enumerate(xs)
@@ -349,14 +353,42 @@ def dia_step_reference(psi, phi, rest=()) -> TestOutcome:
     if bits is not None and bits.literals == (1 << n) - 1:
         refuted = _maximal_non_cover_reaches(bits, reaches)
     else:
-        refuted = _first_refutation(n, reaches, covers) is not None
+        refuted = first_refutation_reference(n, reaches, covers) is not None
     if not refuted:
         return TestOutcome(True, 3, uni)
     for size in range(1, n + 1):
-        mask = _first_refutation(n, reaches, covers, size)
+        mask = first_refutation_reference(n, reaches, covers, size)
         if mask is not None:
             return TestOutcome(False, 3, WitnessUniverse(xs, members(mask)))
     raise AssertionError("a refuting subset exists but none was found")
+
+
+def first_refutation_reference(n, reaches, covers, size=None):
+    """The first reaching subset of positions 0..n-1 that does not cover,
+    as a bitmask, or None: of exactly `size` members when size is given,
+    else of any size.  Depth-first, including before excluding, so the sets
+    of one size come in lexicographic order of positions."""
+    # A branch is dropped when it covers (so does every superset), when
+    # even adding every undecided position does not reach, or when it
+    # cannot end with exactly `size` members.  The empty set reaches no
+    # term, so it is never returned.
+    full = (1 << n) - 1
+    stack = [(0, 0, 0)]
+    while stack:
+        mask, k, count = stack.pop()
+        if count == size or k == n:
+            if reaches(mask):
+                return mask
+            continue
+        if not reaches(mask | (full >> k << k)):
+            continue
+        if size is not None and count + n - k < size:
+            continue
+        stack.append((mask, k + 1, count))
+        wider = mask | 1 << k
+        if not covers(wider):
+            stack.append((wider, k + 1, count + 1))
+    return None
 
 
 def _reach_table_reference(phi, psi, xs):

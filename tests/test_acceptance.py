@@ -148,8 +148,8 @@ def _subset_refutes(subset, psi, phi):
 
 def test_criterion_03_diamond_subtest_goldens():
     phi = parse(PHI33)
-    report = rec.test_dia_pi_report(And(a, b), phi)
-    assert not report.verdict
+    report = rec.test_pi_report(Dia(And(a, b)), phi)
+    assert (report.verdict, report.step) == (False, 6)
     subset = report.witness.subset
     assert subset and set(subset) <= set(report.witness.x_set)
     assert _subset_refutes(subset, And(a, b), phi)

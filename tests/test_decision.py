@@ -66,6 +66,7 @@ def test_diamond_chain_depth():
         for got in (
             lambda: sat(f),
             lambda: decision.countermodel(f, other) is not None,
+            lambda: decision.countermodel(f, other, leaf) is not None,
             lambda: not entails(f, other),
         ):
             decision._model_nnf.cache_clear()
@@ -544,6 +545,31 @@ def test_countermodel_refutes_entailment():
                 k = _kripke(model)
                 assert not holds(k, "0", g)
                 assert premise is None or holds(k, "0", premise)
+
+
+def test_countermodel_of_parts_is_that_of_their_disjunction():
+    # countermodel(f, p1, ..., pn) walks f & !p1 & ... & !pn as
+    # countermodel(f, p1 | ... | pn) walks f & !(p1 | ... | pn), so both
+    # give the same model or both None; GenPI's pool of countermodels, and
+    # so its output order, rests on it
+    rng = random.Random(94)
+    seen = dict.fromkeys(("none f", "and chain", "several", "model", "no model"), 0)
+    for _ in range(2000):
+        f = None if rng.random() < 0.2 else random_formula(
+            rng, "abc", rng.randint(0, 2), rng.randint(1, 8))
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            p = random_formula(rng, "abc", rng.randint(0, 2), rng.randint(1, 5))
+            if rng.random() < 0.3:
+                p = Or(p, random_formula(rng, "abc", rng.randint(0, 1), rng.randint(1, 4)))
+            parts.append(p)
+        got = decision.countermodel(f, *parts)
+        assert got == decision.countermodel(f, fold_or(parts)), (f, parts)
+        seen["none f"] += f is None
+        seen["and chain"] += any(type(dual_negate(p)) is And for p in parts)
+        seen["several"] += len(parts) > 1
+        seen["model" if got is not None else "no model"] += 1
+    assert min(seen.values()) >= 200, seen
 
 
 def _random_modal_branch(rng, names="abcd"):

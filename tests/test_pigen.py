@@ -64,11 +64,11 @@ def test_each_candidate_checked_once_for_tautology(monkeypatch):
         checked.append(g)
         return real(g)
 
-    def counting_cm(l, r):
+    def counting_cm(l, *r):
         # a query with no left side asks whether r is a tautology
         if l is None:
             checked.append(r)
-        return real_cm(l, r)
+        return real_cm(l, *r)
 
     monkeypatch.setattr(decision, "is_tautology", counting)
     monkeypatch.setattr(generate_module, "is_tautology", counting)
@@ -138,9 +138,9 @@ def test_entry_pool_bounds_core_calls(monkeypatch):
     queries = []
     real = generate_module.countermodel
 
-    def counting(l, r):
+    def counting(l, *r):
         queries.append(l)
-        return real(l, r)
+        return real(l, *r)
 
     monkeypatch.setattr(generate_module, "countermodel", counting)
     checked = []

@@ -16,7 +16,8 @@ from kprime import recognize as rec
 from kprime.recognize import normalize_clause, witness_universe
 
 from helpers import (box_pi_verdict, box_step_reference, count_nodes, dia_pi_verdict,
-                     dia_step_reference, random_formula, random_prop_lit, random_surface_clause)
+                     dia_step_reference, first_refutation_reference, random_formula,
+                     random_prop_lit, random_surface_clause)
 
 a, b, c, d, e, f = (Var(n) for n in "abcdef")
 
@@ -127,13 +128,13 @@ def test_normalize_matches_reference():
 def test_normalize_checks_each_disjunct_once_per_pass(monkeypatch):
     # normalization asks whether p |= \/rest as one query of the core's
     calls = []
-    real = rec._countermodel_any
+    real = rec.countermodel
 
-    def counting(f, parts):
+    def counting(f, *parts):
         calls.append((f, parts))
-        return real(f, parts)
+        return real(f, *parts)
 
-    monkeypatch.setattr(rec, "_countermodel_any", counting)
+    monkeypatch.setattr(rec, "countermodel", counting)
     out = normalize_clause(clause_view("a | <>b | <>(b & c)"))
     assert out.parts == (a, Dia(b))
     # one check per disjunct, and no second pass without a box
@@ -155,12 +156,12 @@ def test_normalize_empty_clause():
 
 
 def test_prop_pi_examples():
+    # step 4 on implicates, as step 1 leaves them to it
     phi = parse(PHI33)
-    assert rec.test_prop_pi(clause_view("a | <>c"), phi)
-    assert rec.test_prop_pi(clause_view("a"), a)
-    assert not rec.test_prop_pi(clause_view("a | b"), a)
-    with pytest.raises(ValueError):
-        rec.test_prop_pi(clause_view("b"), a)
+    for text, f, want in (("a | <>c", phi, True), ("a", a, True), ("a | b", a, False)):
+        view = clause_view(text)
+        assert entails(f, view.assemble())
+        assert rec._prop_pi(view, f) is want, text
 
 
 def test_box_pi_examples():
@@ -234,7 +235,7 @@ def test_box_step_matches_reference():
             continue
         raw = view4(l, SyntacticKind.CLAUSE)
         view = normalize_clause(raw)
-        if not view.boxes or not rec.test_prop_pi(view, phi):
+        if not view.boxes or not rec._prop_pi(view, phi):
             continue
         want = box_step_reference(view, phi)
         assert rec._boxes_strongest(view, phi) == want, (l, phi)
@@ -300,8 +301,8 @@ def test_implicate_check_reuses_child_models_on_thm18():
 
 
 def test_dia_pi_first_example():
-    r = rec.test_dia_pi_report(And(a, b), parse(PHI33))
-    assert not r.verdict
+    r = rec.test_pi_report(Dia(And(a, b)), parse(PHI33))
+    assert (r.verdict, r.step) == (False, 6)
     assert r.witness.subset == (And(b, c), Or(e, f))
 
 
@@ -313,8 +314,6 @@ def test_dia_pi_limit_step():
     unsat = And(a, Neg(a))
     assert not dia_pi_verdict(c, unsat)
     assert dia_pi_verdict(And(b, Neg(b)), unsat)
-    with pytest.raises(ValueError):
-        dia_pi_verdict(c, a)
 
 
 def test_pi_example_traces():
@@ -548,7 +547,7 @@ def test_dia_pi_search_matches_exhaustive_enumeration(monkeypatch):
     refuting = wide = 0
     for psi, phi in pairs:
         expected = _dia_pi_exhaustive(psi, phi)
-        got = rec.test_dia_pi_report(psi, phi)
+        got = rec._dia_pi(psi, phi)
         assert got == expected, (psi, phi)
         # phi is satisfiable by then, so no term reaches the empty subset
         assert got.witness is None or got.witness.subset != (), (psi, phi)
@@ -581,16 +580,16 @@ def _literal_mix(rng, leaves, mixed):
 
 def test_maximal_non_covers_match_search_and_exhaustive_enumeration(monkeypatch):
     # every decision by the maximal non-covering sets against the
-    # include/exclude search on the same reach table and cover bits, and
-    # every outcome, decided that way or not, against the exhaustive
-    # enumeration
+    # reference's unbounded include/exclude search on the same reach table
+    # and cover bits, and every outcome, decided that way or not, against
+    # the exhaustive enumeration
     seen = dict.fromkeys(("yes", "no", "pair", "modal psi", "mixed S", "over bound"), 0)
     real = rec._maximal_non_cover_reaches
 
     def checked(bits, reaches):
         got = real(bits, reaches)
         n = bits.literals.bit_length()
-        assert got == (rec._first_refutation(n, reaches, bits.covers) is not None)
+        assert got == (first_refutation_reference(n, reaches, bits.covers) is not None)
         seen["no" if got else "yes"] += 1
         # a complementary pair off some branch, which the walk must split
         seen["pair"] += any(not (pos | neg) & branch
@@ -607,7 +606,8 @@ def test_maximal_non_covers_match_search_and_exhaustive_enumeration(monkeypatch)
                  else "modal psi"] += 1
         elif bits.literals != (1 << len(xs)) - 1:
             seen["mixed S"] += 1
-        assert rec.test_dia_pi_report(psi, phi) == _dia_pi_exhaustive(psi, phi), (psi, phi)
+        assert entails(phi, Dia(psi)), (psi, phi)
+        assert rec._dia_pi(psi, phi) == _dia_pi_exhaustive(psi, phi), (psi, phi)
 
     wide = fold_or([Var("v%d" % i) for i in range(rec.COVER_BRANCH_BOUND + 1)])
     # more branches than the bound, over a universe of literals
@@ -616,7 +616,11 @@ def test_maximal_non_covers_match_search_and_exhaustive_enumeration(monkeypatch)
     check(Or(a, Dia(b)), fold_and([Dia(a), Dia(c), Dia(Or(a, Dia(b)))]))
     check(Or(a, And(b, c)), Or(Dia(a), Dia(And(b, c))))
     rng = random.Random(82)
-    while seen["yes"] + seen["no"] < 2000:
+    # 2 000 decisions take 5 761 draws; the bound keeps a change that stops
+    # calling the hook from looping for ever
+    for _ in range(8000):
+        if seen["yes"] + seen["no"] == 2000:
+            break
         phi = _literal_mix(rng, rng.randint(2, 7), rng.random() < 0.2)
         xs = witness_universe(phi).x_set
         if not xs or not sat(phi):
@@ -631,6 +635,7 @@ def test_maximal_non_covers_match_search_and_exhaustive_enumeration(monkeypatch)
             psi = Or(psi, Dia(random_formula(rng, "abcd", 0, rng.randint(1, 3))))
         if entails(phi, Dia(psi)):
             check(psi, phi)
+    assert seen["yes"] + seen["no"] == 2000, seen
     assert seen["yes"] >= 200 and seen["no"] >= 200 and seen["pair"] >= 100, seen
     assert seen["modal psi"] >= 50 and seen["mixed S"] >= 50 and seen["over bound"] == 2, seen
 
@@ -715,10 +720,10 @@ def test_dia_pi_streams_terms_once_and_entails_linearly(monkeypatch):
         return query
 
     monkeypatch.setattr(rec, "_remainder", walking)
-    for name in ("entails", "_countermodel_any", "_model_nnf"):
+    for name in ("entails", "countermodel", "_model_nnf"):
         monkeypatch.setattr(rec, name, counting(getattr(rec, name)))
-    out = rec.test_dia_pi_report(Var("a0"), phi)
-    assert (out.verdict, out.step) == (True, 3)
+    out = rec.test_pi_report(Dia(Var("a0")), phi)
+    assert (out.verdict, out.step) == (True, 6)
     assert len(out.witness.x_set) == n
     assert len(walks) == 1
 
@@ -726,17 +731,17 @@ def test_dia_pi_streams_terms_once_and_entails_linearly(monkeypatch):
 def _count_cover_queries(monkeypatch):
     # the distinct cover masks the diamond subtest's searches ask, with
     # their answers, and the members of each cover query that reaches the
-    # core (the diamond subtest asks _countermodel_any for nothing else;
+    # core (the diamond subtest asks countermodel for nothing else;
     # normalization and step 4 ask it outside the subtest)
     asked, core = {}, []
-    real_countermodel, real_search = rec._countermodel_any, rec._first_refutation
+    real_countermodel, real_search = rec.countermodel, rec._first_refutation
     real_subtest = rec._dia_pi
     inside = []
 
-    def counting(f, parts):
+    def counting(f, *parts):
         if inside:
             core.append(parts)
-        return real_countermodel(f, parts)
+        return real_countermodel(f, *parts)
 
     def subtest(psi, phi, rest=()):
         inside.append(psi)
@@ -745,13 +750,13 @@ def _count_cover_queries(monkeypatch):
         finally:
             inside.pop()
 
-    def search(n, reaches, covers, size=None):
+    def search(n, reaches, covers, size):
         def recording(mask):
             asked[mask] = covers(mask)
             return asked[mask]
         return real_search(n, reaches, recording, size)
 
-    monkeypatch.setattr(rec, "_countermodel_any", counting)
+    monkeypatch.setattr(rec, "countermodel", counting)
     monkeypatch.setattr(rec, "_dia_pi", subtest)
     monkeypatch.setattr(rec, "_first_refutation", search)
     return asked, core
@@ -839,12 +844,14 @@ def test_thm21_n2_clauses_build_no_remainder(monkeypatch):
 def test_cover_queries_on_non_literal_members_keep_pool_and_core(monkeypatch):
     # the universes of these examples.sh runs hold no literal, so every
     # cover query goes to the pool, then the core: with PHI_CUT the core
-    # answers all 4 distinct queries; <>(a & b) against PHI asks 5, of
-    # which the pool settles 2
+    # answers all 4 distinct queries; <>(a & b) against PHI asks 4, of
+    # which the pool settles 2.  The search stops at the witness's size, 2,
+    # so it never asks the whole universe, which an unbounded search run
+    # first to decide asked the core as a fifth query
     asked, core = _count_cover_queries(monkeypatch)
     for clause, phi, verdict, n_asked, n_core in (
             ("<>(a & b & c)", PHI31, True, 4, 4),
-            ("<>(a & b)", PHI33, False, 5, 3)):
+            ("<>(a & b)", PHI33, False, 4, 2)):
         asked.clear()
         core.clear()
         out = rec.test_pi_report(parse(clause), parse(phi))
@@ -910,7 +917,8 @@ def test_cover_bits_stop_at_the_branch_bound():
 def test_cover_queries_the_bits_cannot_decide_reach_the_core(monkeypatch, psi, phi, kind):
     xs = witness_universe(phi).x_set
     answers, core = _count_cover_queries(monkeypatch)
-    out = rec.test_dia_pi_report(psi, phi)
+    assert entails(phi, Dia(psi))
+    out = rec._dia_pi(psi, phi)
     monkeypatch.undo()
     assert out == _dia_pi_exhaustive(psi, phi)
     for mask, got in answers.items():
