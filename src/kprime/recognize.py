@@ -9,14 +9,14 @@ the sat core's modal step, and asks the core memo keys of conjuncts.
 The diamond check looks for a subset of the modal bodies found at the top
 propositional level of the remainder; a qualifying subset witnesses a
 strictly stronger implicate.  It walks the branches once into a reach
-table of bitmasks and searches the subsets one size at a time, so the
-first qualifying subset found is the canonical (smallest, then leftmost)
-one.  Its cover queries on subsets of literals are decided by bitmasks
-over the surface branches of the diamond's body when that body is
-propositional; when, moreover, every member of the universe is a
-literal, those branches give the maximal subsets that do not cover the
-body, and when none of them reaches every branch no subset qualifies and
-no search runs.
+table of bitmasks and searches the subsets level by level, each asked
+once, so the first qualifying subset found is the canonical (smallest,
+then leftmost) one.  Its cover queries on subsets of literals are
+decided by bitmasks over the surface branches of the diamond's body
+when that body is propositional; when, moreover, every member of the
+universe is a literal, those branches give the maximal subsets that do
+not cover the body, and when none of them reaches every branch no subset
+qualifies and no search runs.
 
 The box check decides every box disjunct in one walk: a branch either
 offers a satisfiable term to the remainder of each box, or to that of one
@@ -164,11 +164,10 @@ def _dia_pi(psi: Formula, phi: Formula, rest=()) -> TestOutcome:
     # known: for each consistent surface branch of nnf(psi), the positions
     # off the branch with one side of each complementary pair there
     # dropped; when none of them reaches, no S refutes and no search runs.
-    # Otherwise, or when one of them reaches, an include/exclude search
-    # bounded to each size in turn decides: the first refuting subset it
-    # finds is the canonical witness, the first by size, then
-    # lexicographically by position, and no size finding one means that
-    # none refutes.
+    # Otherwise, or when one of them reaches, a level-wise search decides:
+    # the first refuting subset it finds is the canonical witness, the
+    # first by size, then lexicographically by position, and no level
+    # finding one means that none refutes.
     #
     # A cover query asks whether psi entails the disjunction of S.  When S
     # holds only literals, and psi has at most COVER_BRANCH_BOUND
@@ -193,7 +192,6 @@ def _dia_pi(psi: Formula, phi: Formula, rest=()) -> TestOutcome:
     if not needs:
         return TestOutcome(not sat(psi), 1)
     bits = _literal_cover(psi, xs)
-    covered: dict[int, bool] = {}
     # one mask per countermodel of psi found so far: the members false at
     # its root; such a model refutes covering every subset of them
     falsified: list[int] = []
@@ -204,16 +202,14 @@ def _dia_pi(psi: Formula, phi: Formula, rest=()) -> TestOutcome:
     def covers(mask: int) -> bool:
         if bits is not None and not mask & ~bits.literals:
             return bits.covers(mask)
-        if mask not in covered:
-            if any(not mask & ~fm for fm in falsified):
-                covered[mask] = False
-            else:
-                model = countermodel(psi, *members(mask))
-                covered[mask] = model is None
-                if model is not None:
-                    falsified.append(sum(1 << k for k, x in enumerate(xs)
-                                         if not true_at_root(model, x)))
-        return covered[mask]
+        if any(not mask & ~fm for fm in falsified):
+            return False
+        model = countermodel(psi, *members(mask))
+        if model is None:
+            return True
+        falsified.append(sum(1 << k for k, x in enumerate(xs)
+                             if not true_at_root(model, x)))
+        return False
 
     def reaches(mask: int) -> bool:
         return all(need & mask for need in needs)
@@ -222,10 +218,9 @@ def _dia_pi(psi: Formula, phi: Formula, rest=()) -> TestOutcome:
     literal = bits is not None and bits.literals == (1 << n) - 1
     if literal and not _maximal_non_cover_reaches(bits, reaches):
         return TestOutcome(True, 3, uni)
-    for size in range(1, n + 1):
-        mask = _first_refutation(n, reaches, covers, size)
-        if mask is not None:
-            return TestOutcome(False, 3, WitnessUniverse(xs, members(mask)))
+    mask = _first_refutation(n, reaches, covers)
+    if mask is not None:
+        return TestOutcome(False, 3, WitnessUniverse(xs, members(mask)))
     if literal:
         raise AssertionError("a refuting subset exists but none was found")
     return TestOutcome(True, 3, uni)
@@ -296,27 +291,30 @@ def _maximal_non_cover_reaches(bits: _LiteralCover, reaches) -> bool:
     return False
 
 
-def _first_refutation(n: int, reaches, covers, size: int) -> int | None:
-    # The first reaching, non-covering subset of `size` positions, or None.
-    # Depth-first over positions 0..n-1, including before excluding, so
-    # the sets come in lexicographic order of positions.  A branch is
-    # dropped when it cannot end with exactly `size` members, when even
-    # adding every undecided position does not reach, or when it covers
-    # psi (so does every superset).
+def _first_refutation(n: int, reaches, covers) -> int | None:
+    # The first reaching, non-covering subset of positions 0..n-1, by size,
+    # then lexicographically by position, or None.  Level s holds the sets
+    # of s positions that neither cover psi nor reach; each is widened by
+    # the positions after its last, in order, until even adding every
+    # position from there on does not reach.  A set's one parent is itself
+    # minus its last position, so each set is asked about once, and the
+    # parents' order makes each level lexicographic.  A widened set that
+    # covers psi is dropped, as is every superset.
     full = (1 << n) - 1
-    stack = [(0, 0, 0)]
-    while stack:
-        mask, k, count = stack.pop()
-        if count == size:
-            if reaches(mask):
-                return mask
-            continue
-        if count + n - k < size or not reaches(mask | (full >> k << k)):
-            continue
-        stack.append((mask, k + 1, count))
-        wider = mask | 1 << k
-        if not covers(wider):
-            stack.append((wider, k + 1, count + 1))
+    level = [0]
+    while level:
+        wider_level = []
+        for mask in level:
+            for k in range(mask.bit_length(), n):
+                if not reaches(mask | (full >> k << k)):
+                    break
+                wider = mask | 1 << k
+                if covers(wider):
+                    continue
+                if reaches(wider):
+                    return wider
+                wider_level.append(wider)
+        level = wider_level
     return None
 
 

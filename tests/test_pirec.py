@@ -640,6 +640,49 @@ def test_maximal_non_covers_match_search_and_exhaustive_enumeration(monkeypatch)
     assert seen["modal psi"] >= 50 and seen["mixed S"] >= 50 and seen["over bound"] == 2, seen
 
 
+def test_first_refutation_matches_the_sized_reference():
+    # the level-wise search against the reference's include/exclude search
+    # run one size at a time, on random reach tables and monotone cover
+    # oracles: a mask covers iff it holds one of a few covering masks.
+    # Equal results mean the same canonical witness, or none
+    rng = random.Random(95)
+    seen = dict.fromkeys(("found", "none", "3 or more"), 0)
+    for _ in range(2000):
+        n = rng.randint(0, 10)
+
+        def draw(p):
+            # a nonzero mask of positions, each in it with probability p
+            return sum(1 << k for k in range(n) if rng.random() < p) or 1 << rng.randrange(n)
+
+        needs, covering = [], []  # no positions: no need mask
+        if n:
+            p = rng.uniform(0.1, 0.5)
+            needs = [draw(p) for _ in range(rng.randint(1, 5))]
+            p = rng.uniform(0.2, 0.6)
+            covering = [draw(p) for _ in range(rng.randint(1, 3))]
+
+        def reaches(mask):
+            return all(need & mask for need in needs)
+
+        def covers(mask):
+            return any(not c & ~mask for c in covering)
+
+        asked = []
+
+        def asking(mask):
+            asked.append(mask)
+            return covers(mask)
+
+        got = rec._first_refutation(n, reaches, asking)
+        want = next((mask for size in range(1, n + 1) if (
+            mask := first_refutation_reference(n, reaches, covers, size)) is not None), None)
+        assert got == want, (n, needs, covering)
+        assert len(asked) == len(set(asked)), (n, needs, covering)
+        seen["none" if want is None else "found"] += 1
+        seen["3 or more"] += want is not None and bin(want).count("1") >= 3
+    assert seen["found"] >= 200 and seen["none"] >= 200 and seen["3 or more"] >= 50, seen
+
+
 def _dia_step_triples(rng):
     # (psi, phi, rest) with phi & !(rest) entailing <>psi: phi an and/or
     # tree over modal and propositional literals, at times conjoined with
@@ -750,16 +793,46 @@ def _count_cover_queries(monkeypatch):
         finally:
             inside.pop()
 
-    def search(n, reaches, covers, size):
+    def search(n, reaches, covers):
         def recording(mask):
             asked[mask] = covers(mask)
             return asked[mask]
-        return real_search(n, reaches, recording, size)
+        return real_search(n, reaches, recording)
 
     monkeypatch.setattr(rec, "countermodel", counting)
     monkeypatch.setattr(rec, "_dia_pi", subtest)
     monkeypatch.setattr(rec, "_first_refutation", search)
     return asked, core
+
+
+def test_dia_pi_asks_each_cover_mask_once(monkeypatch):
+    # within one diamond subtest, no cover mask is asked twice: on the
+    # examples.sh recognition runs and on triples of the step-6 draw
+    asks = []  # per subtest, the cover masks in the order asked
+    real_subtest, real_search = rec._dia_pi, rec._first_refutation
+
+    def subtest(psi, phi, rest=()):
+        asks.append([])
+        return real_subtest(psi, phi, rest)
+
+    def search(n, reaches, covers):
+        def asking(mask):
+            asks[-1].append(mask)
+            return covers(mask)
+        return real_search(n, reaches, asking)
+
+    monkeypatch.setattr(rec, "_dia_pi", subtest)
+    monkeypatch.setattr(rec, "_first_refutation", search)
+    for clause, phi in EXAMPLES_TESTPI:
+        rec.test_pi_report(parse(clause), parse(phi))
+    assert sum(map(len, asks)) >= 8, asks
+    for checked, (psi, phi, rest) in enumerate(_dia_step_triples(random.Random(94))):
+        if checked == 500:
+            break
+        rec._dia_pi(psi, phi, rest)
+    assert sum(map(len, asks)) >= 1000
+    for masks in asks:
+        assert len(masks) == len(set(masks)), masks
 
 
 def _count_reach_checks(monkeypatch):
