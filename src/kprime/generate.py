@@ -12,19 +12,22 @@ candidate j entails candidate i iff every entry of j entails i.  For each
 candidate i the table holds one bitmask, the entries that entail i; the
 candidates entailing i are exactly the picks of one such entry per term.
 They are enumerated in index order, so the first one below i rejects i at
-once, and a later one keeps i only if i entails it back.  A tautological
-candidate is entailed by every other one and never survives, since f
-itself is not a tautology; the picks entailing a non-tautological
-candidate are not tautologies either.
+once, and a later one keeps i only if i entails it back.
+
+No candidate is asked whether it is a tautology.  Each term is the
+conjunction of its entries, so f is equivalent to the conjunction of the
+candidates; f is no tautology, so some candidate is none either.  Every
+candidate entails a tautological one, so the filter rejects it: at
+candidate 0, or, when it is candidate 0, at a later candidate that is no
+tautology and that it does not entail.
 
 The table's queries go to the sat core only when no countermodel found
 earlier in the same call settles them.  Each countermodel is kept once,
 as the mask of the entries true at its root.  A model refutes "e entails
-candidate i" when it makes e true and every entry of i false, and refutes
-that i is a tautology when it makes every entry of i false.  A query that
-no pooled model refutes asks the core for a countermodel, and one that
-comes back joins the pool.  The core is given a candidate's entries as
-separate parts; a candidate is folded into a clause only when it is
+candidate i" when it makes e true and every entry of i false.  A query
+that no pooled model refutes asks the core for a countermodel, and one
+that comes back joins the pool.  The core is given a candidate's entries
+as separate parts; a candidate is folded into a clause only when it is
 yielded.
 """
 
@@ -32,29 +35,20 @@ from functools import cache
 from itertools import chain, product
 from math import prod
 
-from .decision import countermodel, is_tautology, sat, true_at_root
+from .decision import countermodel, is_tautology, true_at_root
 from .dnf import _delta_entries, dnf4
 from .formulas import And, Dia, Formula, Neg, Or, Var, dual_negate, fold_or, metrics
-
-
-def _limit_case(f: Formula) -> tuple[Formula, ...] | None:
-    if not sat(f):
-        v = Var(min(metrics(f).vars))
-        return (Dia(And(v, Neg(v))),)
-    if is_tautology(f):
-        v = Var(min(metrics(f).vars))
-        return (Or(v, Neg(v)),)
-    return None
 
 
 def iter_pi(f: Formula):
     """All prime implicates of f, one representative per equivalence class,
     each yielded as soon as the filter keeps it."""
-    limit = _limit_case(f)
-    if limit is not None:
-        yield from limit
-        return
     deltas = [_delta_entries(t) for t in dnf4(f)]
+    # the limit cases: dnf4 streams no term iff f is unsatisfiable
+    if not deltas or is_tautology(f):
+        v = Var(min(metrics(f).vars))
+        yield Or(v, Neg(v)) if deltas else Dia(And(v, Neg(v)))
+        return
     bit: dict[Formula, int] = {}
     for e in chain.from_iterable(deltas):
         bit.setdefault(e, 1 << len(bit))
@@ -66,17 +60,12 @@ def iter_pi(f: Formula):
     # entries true at its root
     pool: list[int] = []
 
-    def learn(model) -> int:
-        pm = sum(b for e, b in bit.items() if true_at_root(model, e))
-        if pm not in pool:
-            pool.append(pm)
-        return pm
-
     @cache
     def entailers(i: int) -> int:
-        # the entries that entail the non-tautological candidate i: its own
-        # disjuncts, and every other entry that no countermodel refutes; a
-        # pooled model falsifying all of i refutes each entry true in it
+        # the entries that entail candidate i: its own disjuncts, and every
+        # other entry that no countermodel refutes; a pooled model falsifying
+        # all of i refutes each entry true in it.  On a tautological i no
+        # model falsifies i, and every entry entails it
         o = s = own[i]
         refuted = 0
         for pm in pool:
@@ -87,16 +76,14 @@ def iter_pi(f: Formula):
                 model = countermodel(e, *picks[i])
                 if model is None:
                     s |= b
-                else:
-                    refuted |= learn(model)
+                    continue
+                pm = sum(m for x, m in bit.items() if true_at_root(model, x))
+                if pm not in pool:
+                    pool.append(pm)
+                refuted |= pm
         return s
 
     for i, ps in enumerate(picks):
-        if all(pm & own[i] for pm in pool):
-            model = countermodel(None, *ps)
-            if model is None:
-                continue  # a tautology
-            learn(model)
         s = entailers(i)
         rows = [[k * st for k, e in enumerate(d) if bit[e] & s]
                 for d, st in zip(deltas, strides)]

@@ -94,21 +94,26 @@ def _remainder(phi: Formula, parts):
 
 
 def normalize_clause(l: ClauseView4) -> ClauseView4:
-    """Equivalent clause with no redundant disjunct and absorbing boxes.
+    """Equivalent clause with no redundant disjunct and absorbing boxes, for
+    a clause l that is no tautology, as test_pi_report settles those at
+    step 2.
 
     Redundant disjuncts are deleted in one left-to-right scan: p is
     redundant in p | rest iff p entails rest, and a disjunct found needed
     stays needed after later deletions, as a smaller rest is only harder
-    to entail. Then every box body absorbs the diamond bodies and, if that
-    changed a box, the scan runs once more; a deletion after absorption
-    cannot break the absorption property, so the result satisfies both.
+    to entail. Then every box body absorbs the diamond bodies, P their
+    disjunction, which makes no disjunct redundant when l is no
+    tautology.  Were [](chi_i | P) to entail the rest, so would []chi_i
+    before: in a model of []chi_i each [](chi_j | P) of the rest that
+    holds gives []chi_j or some <>psi.  A model of a gamma or <>psi that
+    falsified the rest before does so after once it has fresh successors
+    falsifying each chi_j | P, which no chi_j | P being valid allows, or
+    l would be a tautology.
     """
     parts = _delete_redundant(list(l.parts))
     psis = [p.child for p in parts if isinstance(p, Dia)]
-    absorbed = [Box(fold_or([p.child] + psis)) if isinstance(p, Box) else p
-                for p in parts]
-    if absorbed != parts:
-        parts = _delete_redundant(absorbed)
+    parts = [Box(fold_or([p.child] + psis)) if isinstance(p, Box) else p
+             for p in parts]
     return ClauseView4(*_split4(parts), tuple(parts))
 
 

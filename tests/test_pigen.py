@@ -1,17 +1,15 @@
 import random
 from functools import cache
 from itertools import product
-from math import prod
 
 from kprime import And, Box, Dia, Neg, Or, Var, bottom, metrics, parse, top
-from kprime import decision
 from kprime import dnf as dnf_module
 from kprime import generate as generate_module
-from kprime.decision import entails, equivalent, is_tautology
+from kprime.decision import entails, equivalent, is_tautology, sat
 from kprime.dnf import _delta_entries, delta_set, dnf4
 from kprime.families import FamilySpec, generate
 from kprime.formulas import dual_negate, fold_and, fold_or
-from kprime.generate import _limit_case, gen_implicants, gen_pi, iter_pi
+from kprime.generate import gen_implicants, gen_pi, iter_pi
 from kprime.grammar import DefId, SyntacticKind, is_member, view4
 
 from helpers import _clause_entails, count_nodes, random_formula
@@ -53,37 +51,15 @@ def test_iterative_matches_eager():
         assert tuple(iter_pi(g)) == gen_pi(g)
 
 
-def test_each_candidate_checked_once_for_tautology(monkeypatch):
-    phi, _ = generate(FamilySpec("thm21", n=2))
-    candidates = prod(len(delta_set(t)) for t in dnf4(phi))
-    checked = []
-    real = decision.is_tautology
-    real_cm = generate_module.countermodel
-
-    def counting(g):
-        checked.append(g)
-        return real(g)
-
-    def counting_cm(l, *r):
-        # a query with no left side asks whether r is a tautology
-        if l is None:
-            checked.append(r)
-        return real_cm(l, *r)
-
-    monkeypatch.setattr(decision, "is_tautology", counting)
-    monkeypatch.setattr(generate_module, "is_tautology", counting)
-    monkeypatch.setattr(generate_module, "countermodel", counting_cm)
-    gen_pi(phi)
-    # the limit-case check on phi, then at most one check per candidate
-    assert len(checked) <= candidates + 1
-
-
 def _all_pairs_pi(f):
     # Reference filter: every ordered pair of candidates compared by the
-    # clause check, each with its own tautology rules.
-    limit = _limit_case(f)
-    if limit is not None:
-        return limit
+    # clause check, each with its own tautology rules, after the limit
+    # cases decided by sat and is_tautology.
+    v = Var(min(metrics(f).vars))
+    if not sat(f):
+        return (Dia(And(v, Neg(v))),)
+    if is_tautology(f):
+        return (Or(v, Neg(v)),)
     deltas = [_delta_entries(t) for t in dnf4(f)]
     cands = [fold_or(picks) for picks in product(*deltas)]
     taut = [is_tautology(c) for c in cands]
@@ -125,15 +101,41 @@ def test_entry_table_matches_all_pairs_filter():
             dual_negate(l) for l in _all_pairs_pi(dual_negate(g)))
 
 
+def test_no_candidate_asked_whether_it_is_a_tautology(monkeypatch):
+    # f is the conjunction of the candidates and no tautology, so the filter
+    # rejects a tautological candidate with no query of its own; the core
+    # is asked only whether an entry entails a candidate
+    tautology_queries = []
+    real = generate_module.countermodel
+
+    def counting(l, *r):
+        if l is None:
+            tautology_queries.append(r)
+        return real(l, *r)
+
+    monkeypatch.setattr(generate_module, "countermodel", counting)
+    fixtures = [parse(EX15), parse("(a & <>b) | (!a & []c)")]
+    fixtures += [generate(FamilySpec("thm18", n=n))[0] for n in range(1, 5)]
+    fixtures.append(generate(FamilySpec("thm21", n=2))[0])
+    # candidate 0 of the second fixture, a | !a, is a tautology
+    deltas = [_delta_entries(t) for t in dnf4(fixtures[1])]
+    assert is_tautology(fold_or(next(product(*deltas))))
+    rng = random.Random(72)
+    fixtures += [random_formula(rng, "abc", rng.randint(0, 2), rng.randint(1, 9))
+                 for _ in range(200)]
+    for g in fixtures:
+        assert gen_pi(g) == _all_pairs_pi(g), g
+    assert tautology_queries == []
+
+
 def test_entry_pool_bounds_core_calls(monkeypatch):
     # thm21 n=2: 81 candidates over 12 distinct entries, 4 of them each
     # candidate's own.  The entry table asks whether each other entry
-    # entails each candidate, 648 queries, and each candidate needs a
-    # tautology check, 81 more.  A countermodel found for one query
+    # entails each candidate, 648 queries, and no candidate is asked
+    # whether it is a tautology.  A countermodel found for one query
     # refutes every later query whose entry it makes true and whose
-    # candidate it makes false, so the core is asked 12 entailment queries
-    # and 1 tautology query.  is_tautology itself is called once, on phi,
-    # for the limit cases.
+    # candidate it makes false, so the core is asked 12 entailment queries.
+    # is_tautology itself is called once, on phi, for the limit cases.
     phi, _ = generate(FamilySpec("thm21", n=2))
     queries = []
     real = generate_module.countermodel
@@ -157,7 +159,7 @@ def test_entry_pool_bounds_core_calls(monkeypatch):
     built = count_nodes(monkeypatch)
     assert len(gen_pi(phi)) == 81
     assert sum(l is not None for l in queries) == 12
-    assert sum(l is None for l in queries) == 1
+    assert sum(l is None for l in queries) == 0
     assert checked == [phi]
     assert len(built) <= 1000
 
