@@ -4,7 +4,7 @@ form, and the per-term candidate entries used by implicate generation."""
 from __future__ import annotations
 
 from .decision import _child_models, sat, surface_branches
-from .formulas import _RESERVED_LITS, And, Box, Dia, Formula, dual_negate, nnf
+from .formulas import _RESERVED_LITS, Formula, _and, _box, _dia, dual_negate, nnf
 from .grammar import TermView4, _split4
 
 
@@ -51,7 +51,7 @@ def _delta_entries(t: TermView4) -> tuple[Formula, ...]:
     beta = t.beta()
     entries = list(t.lits)
     if t.boxes:
-        entries.append(Box(beta))
+        entries.append(_box(beta))
     for zeta in t.diamonds:
-        entries.append(Dia(zeta if beta is None else And(zeta, beta)))
+        entries.append(_dia(zeta if beta is None else _and(zeta, beta)))
     return tuple(dict.fromkeys(entries))

@@ -1,8 +1,14 @@
 """Formula AST for the modal logic K: constructors, printer, NNF, metrics.
 
 Nodes are hash-consed (Filliatre & Conchon, ML Workshop 2006) by one
-constructor per class, which returns a live node with equal fields, so ==
-is identity and hash O(1), or sets each field of a new one through its slot.
+interning function per class, its __new__, which returns the live node
+with equal fields, so == is identity and hash O(1), or sets each field of
+a new one through its slot. Each class has its own weak table, keyed on
+the fields alone: a Var's name, the child of a Neg, Box or Dia, the
+(left, right) pair of an And or Or. Class calls, pickle and copy reach
+the function through type.__call__; the parser, _nnf, the folds and
+dnf's delta entries call it directly, bound to its class (_var, _neg,
+_and, _or, _box, _dia), and skip that cost.
 A node never changes, so it holds its NNF and its dual once computed.
 """
 
@@ -21,16 +27,9 @@ class _Entry(weakref.ref):
     __slots__ = ("key",)
 
 
-# (class, fields) -> an _Entry of the live node with those fields; the
-# fields of an inner node are its already interned children
-_NODES: dict[tuple, _Entry] = {}
-
-
-def _forget(entry: _Entry) -> None:
-    # called as entry's node dies; a node built since under the same key
-    # has a new entry, which stays
-    if _NODES.get(entry.key) is entry:
-        del _NODES[entry.key]
+# node class -> its table, which maps the key of each live node of the
+# class to an _Entry of it; an inner node's key holds interned children
+_NODES: dict[type, dict] = {}
 
 
 class Formula:
@@ -67,40 +66,47 @@ _set_pos = Formula._pos.__set__
 _set_neg = Formula._neg.__set__
 
 
-def _intern(node: Formula, key: tuple) -> Formula:
-    # a new node holds no form yet, and the table holds it weakly
-    _set_pos(node, None)
-    _set_neg(node, None)
-    entry = _Entry(node, _forget)
-    entry.key = key
-    _NODES[key] = entry
-    return node
-
-
 def _interning(cls):
-    # cls's own constructor for its field count: the live node with these
-    # fields, or a new one with each set through its slot
-    first = getattr(cls, cls.__slots__[0]).__set__
+    # cls's interning function, its __new__, returned bound to cls for the
+    # direct callers; get is the one lookup of each call, hit or not, and
+    # forget does not use it, so a patched get counts the nodes asked for
+    table = _NODES[cls] = {}
+    get, new, first = table.get, object.__new__, getattr(cls, cls.__slots__[0]).__set__
+
+    def forget(entry):
+        # called as entry's node dies; a node built since under the same
+        # key has a new entry, which stays
+        if table.get(entry.key) is entry:
+            del table[entry.key]
+
     if len(cls.__slots__) == 1:
         def __new__(cls, field):
-            key = (cls, field)
-            if (entry := _NODES.get(key)) is not None and (node := entry()) is not None:
+            if (entry := get(field)) is not None and (node := entry()) is not None:
                 return node
-            node = object.__new__(cls)
+            node = new(cls)
             first(node, field)
-            return _intern(node, key)
+            _set_pos(node, None)
+            _set_neg(node, None)
+            entry = table[field] = _Entry(node, forget)
+            entry.key = field
+            return node
     else:
         second = cls.right.__set__
         def __new__(cls, left, right):
-            key = (cls, left, right)
-            if (entry := _NODES.get(key)) is not None and (node := entry()) is not None:
+            key = left, right
+            if (entry := get(key)) is not None and (node := entry()) is not None:
                 return node
-            node = object.__new__(cls)
+            node = new(cls)
             first(node, left)
             second(node, right)
-            return _intern(node, key)
+            _set_pos(node, None)
+            _set_neg(node, None)
+            entry = table[key] = _Entry(node, forget)
+            entry.key = key
+            return node
     __new__.__qualname__ = cls.__name__ + ".__new__"
     cls.__new__ = __new__
+    return __new__.__get__(cls)
 
 
 class Var(Formula):
@@ -127,8 +133,7 @@ class Dia(Formula):
     __slots__ = ("child",)
 
 
-for _cls in (Var, Neg, And, Or, Box, Dia):
-    _interning(_cls)
+_var, _neg, _and, _or, _box, _dia = map(_interning, (Var, Neg, And, Or, Box, Dia))
 
 # the reserved literals, and the true/false sugar in either operand order
 _RESERVED_LITS = (Var(RESERVED), Neg(Var(RESERVED)))
@@ -142,12 +147,12 @@ _SUGAR = {
 
 def top() -> Formula:
     """Tautology sugar: _c | !_c."""
-    return Or(*_RESERVED_LITS)
+    return _or(*_RESERVED_LITS)
 
 
 def bottom() -> Formula:
     """Contradiction sugar: _c & !_c."""
-    return And(*_RESERVED_LITS)
+    return _and(*_RESERVED_LITS)
 
 
 _INFIX = {And: " & ", Or: " | "}
@@ -212,8 +217,9 @@ def unparse(f: Formula, texts: dict[Formula, str] | None = None) -> str:
     return text
 
 
-# the dual of each binary and modal connective, for a negated operand
-_DUAL = {And: Or, Or: And, Box: Dia, Dia: Box}
+# the interning function that builds a binary or modal node's form from its
+# operands' forms: its own class's at positive polarity, its dual's at negative
+_BUILD = {And: (_and, _or), Or: (_or, _and), Box: (_box, _dia), Dia: (_dia, _box)}
 
 
 def nnf(f: Formula) -> Formula:
@@ -233,7 +239,7 @@ def _nnf(f: Formula, negated: bool) -> Formula:
     # dual is one lookup in the interning table.
     cls = type(f)
     if cls is Var:
-        return Neg(f) if negated else f
+        return _neg(f) if negated else f
     try:
         held = f._neg if negated else f._pos
     except AttributeError:
@@ -247,6 +253,7 @@ def _nnf(f: Formula, negated: bool) -> Formula:
     if cls is And or cls is Or:
         # down the right spine of a chain of cls to a node with its form
         # held, left operands first; back up, holding each spine node's form
+        make = _BUILD[cls][negated]
         spine, h = [(f, _nnf(f.left, negated))], f.right
         while type(h) is cls and (h._neg if negated else h._pos) is None:
             spine.append((h, _nnf(h.left, negated)))
@@ -254,22 +261,31 @@ def _nnf(f: Formula, negated: bool) -> Formula:
         g = _nnf(h, negated)
         for h, left in reversed(spine):
             if negated:
-                g = _DUAL[cls](left, g)
+                g = make(left, g)
                 _set_neg(h, weakref.ref(g))
             else:
-                g = h if left is h.left and g is h.right else cls(left, g)
+                g = h if left is h.left and g is h.right else make(left, g)
                 _set_pos(h, True if g is h else g)
         return g
     if cls is Box or cls is Dia:
-        child = _nnf(f.child, negated)
-        if negated:
-            g = _DUAL[cls](child)
-        else:
-            g = f if child is f.child else cls(child)
-    elif cls is Neg:
-        g = f if not negated and type(f.child) is Var else _nnf(f.child, not negated)
-    else:
+        # likewise down a chain of boxes and diamonds, so a chain of any
+        # length needs no recursion
+        chain, h = [f], f.child
+        while (type(h) is Box or type(h) is Dia) and (h._neg if negated else h._pos) is None:
+            chain.append(h)
+            h = h.child
+        g = _nnf(h, negated)
+        for h in reversed(chain):
+            if negated:
+                g = _BUILD[type(h)][True](g)
+                _set_neg(h, weakref.ref(g))
+            else:
+                g = h if g is h.child else _BUILD[type(h)][False](g)
+                _set_pos(h, True if g is h else g)
+        return g
+    if cls is not Neg:
         raise TypeError("not a formula: %r" % (f,))
+    g = f if not negated and type(f.child) is Var else _nnf(f.child, not negated)
     if negated:
         _set_neg(f, weakref.ref(g))
     else:
@@ -330,7 +346,7 @@ def fold_or(parts, empty=None):
     parts = list(parts)
     f = parts.pop() if parts else empty
     for g in reversed(parts):
-        f = Or(g, f)
+        f = _or(g, f)
     return f
 
 
@@ -339,5 +355,5 @@ def fold_and(parts, empty=None):
     parts = list(parts)
     f = parts.pop() if parts else empty
     for g in reversed(parts):
-        f = And(g, f)
+        f = _and(g, f)
     return f

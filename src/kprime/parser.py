@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .formulas import And, Box, Dia, Formula, Neg, Or, RESERVED, Var, bottom, top
+from .formulas import RESERVED, Formula, _and, _box, _dia, _neg, _or, _var, bottom, top
 
 
 class ParseError(ValueError):
@@ -56,7 +56,7 @@ def _byte_offset(text: str, charpos: int) -> int:
 
 
 def _implies(left: Formula, right: Formula) -> Formula:
-    return Or(Neg(left), right)
+    return _or(_neg(left), right)
 
 
 # every token string in text order: an identifier, an operator, or any
@@ -67,11 +67,11 @@ _END = " "  # the token parse appends for the end of input; no token is a space
 
 # strength and builder of each binary operator; all three group to the
 # right, and a prefix operator binds tighter than any of them
-_BINARY = {"->": (1, _implies), "|": (2, Or), "&": (3, And)}
+_BINARY = {"->": (1, _implies), "|": (2, _or), "&": (3, _and)}
 _PREFIX = 4
 # what an open parenthesis or a prefix operator pushes onto the stack
-_OPENERS = {"(": (0, None, None), "!": (_PREFIX, Neg, None),
-            "[]": (_PREFIX, Box, None), "<>": (_PREFIX, Dia, None)}
+_OPENERS = {"(": (0, None, None), "!": (_PREFIX, _neg, None),
+            "[]": (_PREFIX, _box, None), "<>": (_PREFIX, _dia, None)}
 _CONSTANTS = {"true": top, "false": bottom}
 _OPERAND = ("identifier", "true", "false", "!", "[]", "<>", "(")
 
@@ -113,7 +113,7 @@ def parse(text: str) -> Formula:
                 _fail(text, i, _OPERAND)
             else:
                 make = _CONSTANTS.get(token)
-                f = Var(token) if make is None else make()
+                f = _var(token) if make is None else make()
             continue
         # build what binds tighter than the next token; ")", the end of
         # input and a misplaced token bind loosest of all, so after them

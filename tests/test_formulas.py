@@ -20,6 +20,7 @@ from kprime.formulas import (
     fold_or,
     metrics,
     nnf,
+    subformulas,
     top,
     unparse,
 )
@@ -28,6 +29,11 @@ from kprime.parser import parse
 from helpers import count_nodes, random_formula
 
 a, b, c = Var("a"), Var("b"), Var("c")
+
+
+def live_nodes():
+    # the live entries across the interning tables of all node classes
+    return sum(map(len, formulas._NODES.values()))
 
 
 def test_structural_equality_and_hash():
@@ -49,12 +55,12 @@ def test_structural_equality_and_hash():
             cls(*fields)
     # the interning table holds its nodes weakly
     gc.collect()
-    before = len(formulas._NODES)
+    before = live_nodes()
     fresh = Dia(Var("fresh_name_for_the_weak_table"))
-    assert len(formulas._NODES) == before + 2
+    assert live_nodes() == before + 2
     del fresh
     gc.collect()
-    assert len(formulas._NODES) == before
+    assert live_nodes() == before
 
 
 def test_length_golden():
@@ -205,7 +211,7 @@ def test_held_forms_make_no_reference_cycle():
     # nodes are freed by reference counting alone, with the cycle
     # collector off
     gc.collect()
-    before = len(formulas._NODES)
+    before = live_nodes()
     gc.disable()
     try:
         p, q = Var("no_cycle_p"), Var("no_cycle_q")
@@ -214,9 +220,9 @@ def test_held_forms_make_no_reference_cycle():
         got = nnf(not_nnf)
         dual = dual_negate(in_nnf)
         assert dual_negate(dual) is in_nnf
-        assert len(formulas._NODES) > before
+        assert live_nodes() > before
         del p, q, not_nnf, in_nnf, got, dual
-        assert len(formulas._NODES) == before
+        assert live_nodes() == before
     finally:
         gc.enable()
     # pickle and deepcopy return the interned node, forms held or not
@@ -227,6 +233,76 @@ def test_held_forms_make_no_reference_cycle():
         assert pickle.loads(pickle.dumps(g)) is g
         assert copy.deepcopy(g) is g
     assert nnf(pickle.loads(pickle.dumps(f))) is want
+
+
+def test_nnf_walks_modal_chains_in_a_loop():
+    # a chain of boxes and diamonds deeper than the recursion limit: nnf
+    # returns it as it is, and its dual swaps each operator
+    leaf, dual = Var("modal_chain_leaf"), {Box: Dia, Dia: Box}
+    f = leaf
+    for i in range(5000):
+        f = (Box if i % 3 else Dia)(f)
+    assert nnf(f) is f
+    g = dual_negate(f)
+    assert nnf(Neg(f)) is g and dual_negate(g) is f
+    for _ in range(5000):
+        assert type(g) is dual[type(f)]
+        f, g = f.child, g.child
+    assert (f, g) == (leaf, Neg(leaf))
+
+
+def _rebuilt(f, make):
+    # f rebuilt bottom-up by a fresh call of make[class] for each node
+    done = {}
+    for g in subformulas(f):
+        cls = type(g)
+        if cls is Var:
+            done[g] = make[cls](g.name)
+        elif cls is And or cls is Or:
+            done[g] = make[cls](done[g.left], done[g.right])
+        else:
+            done[g] = make[cls](done[g.child])
+    return done[f]
+
+
+def test_class_calls_and_interning_functions_agree():
+    # the class call and the interning function the parser, nnf and the
+    # folds call directly are two entries to one table per class: every
+    # way of asking for a node gives the live one, whichever entry built it
+    classes = {cls: cls for cls in (Var, Neg, And, Or, Box, Dia)}
+    direct = {Var: formulas._var, Neg: formulas._neg, And: formulas._and,
+              Or: formulas._or, Box: formulas._box, Dia: formulas._dia}
+    for cls, fields in ((Var, ()), (Var, ("a", "b")), (Neg, ()), (Box, (a, b)),
+                        (And, (a,)), (Or, (a, b, c))):
+        for make in (cls, direct[cls]):
+            with pytest.raises(TypeError):
+                make(*fields)
+    names = ["agree_p", "agree_q", "agree_r"]
+    rng = random.Random(17)
+    gc.collect()
+    before = {cls: len(table) for cls, table in formulas._NODES.items()}
+    gc.disable()
+    try:
+        kept = []
+        for i in range(2000):
+            f = random_formula(rng, names, 3, rng.randint(1, 20))
+            if i % 2:
+                # built first by the parser's direct calls, the class-built
+                # formula freed before
+                text = unparse(f)
+                del f
+                f = parse(text)
+            assert _rebuilt(f, classes) is f
+            assert _rebuilt(f, direct) is f
+            assert parse(unparse(f)) is f
+            assert pickle.loads(pickle.dumps(f)) is f
+            assert copy.deepcopy(f) is f
+            kept.append(f)
+        assert {cls: len(table) for cls, table in formulas._NODES.items()} != before
+        del kept, f
+        assert {cls: len(table) for cls, table in formulas._NODES.items()} == before
+    finally:
+        gc.enable()
 
 
 def test_dual_negate_golden():
